@@ -13,7 +13,6 @@ import os
 import time
 
 from repro.fleet import AblationStudy
-from repro.serialization import ablation_result_to_dict
 
 MACHINES = 200
 EPOCHS = 30
@@ -63,8 +62,7 @@ def test_parallel_ablation(benchmark, report):
     outcome = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
 
     # Correctness first: worker count must not change a single bit.
-    assert (ablation_result_to_dict(outcome["serial"])
-            == ablation_result_to_dict(outcome["parallel"]))
+    assert outcome["serial"].to_dict() == outcome["parallel"].to_dict()
     assert outcome["shards"] == 7  # ceil(200 / 32)
 
     # And the sharded study still shows the paper's Table 1 shape.

@@ -30,7 +30,6 @@ from repro.core.config import LimoncelloConfig, RetryPolicy
 from repro.faults.metrics import ChaosMetrics
 from repro.faults.plan import FaultPlan
 from repro.fleet.ablation import AblationResult, AblationStudy
-from repro.serialization import ablation_result_to_dict
 from repro.units import SECOND
 
 
@@ -140,19 +139,22 @@ class ChaosStudy:
 
     def run(self, workers: Optional[int] = None,
             cache_dir: Optional[str] = None,
-            obs_dir: Optional[str] = None) -> ChaosOutcome:
+            obs_dir: Optional[str] = None,
+            checkpoint_dir: Optional[str] = None) -> ChaosOutcome:
         """Run both the faulted study and its fault-free twin.
 
-        ``obs_dir`` (or ``$REPRO_OBS_DIR``) traces the *faulted* study —
-        the run whose incidents and fail-safe engagements the report
-        renders; the inert twin stays untraced.
+        The arguments are :meth:`AblationStudy.run
+        <repro.fleet.ablation.AblationStudy.run>`'s, except that
+        ``obs_dir`` (or ``$REPRO_OBS_DIR``) traces only the *faulted*
+        study — the run whose incidents and fail-safe engagements the
+        report renders; the inert twin stays untraced.
         """
-        from repro.obs.session import resolve_obs_dir
-
         faulted = self._faulted.run(workers=workers, cache_dir=cache_dir,
-                                    obs_dir=resolve_obs_dir(obs_dir))
+                                    obs_dir=obs_dir,
+                                    checkpoint_dir=checkpoint_dir)
         baseline = self._baseline.run(workers=workers, cache_dir=cache_dir,
-                                      obs_dir="")
+                                      obs_dir="",
+                                      checkpoint_dir=checkpoint_dir)
         return ChaosOutcome(plan=self.plan, faulted=faulted,
                             baseline=baseline)
 
@@ -166,5 +168,5 @@ def result_digest(result: AblationResult) -> str:
     ``--compare-serial`` and the CI chaos-smoke job use this to prove
     serial/parallel equivalence.
     """
-    payload = json.dumps(ablation_result_to_dict(result), sort_keys=True)
+    payload = json.dumps(result.to_dict(), sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()

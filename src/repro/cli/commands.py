@@ -56,6 +56,25 @@ def _print_queue_stats(stats, resolved_dir) -> None:
           f"{stats.computed} computed (journal: {resolved_dir})")
 
 
+#: The oracle leg of every ``--compare-serial`` check: one worker and no
+#: result cache, shard journal or run directory, so the leg recomputes
+#: every shard and cannot overwrite the checked run's traced output.
+SERIAL_LEG = {"workers": 1, "cache_dir": "", "checkpoint_dir": "",
+              "obs_dir": ""}
+
+
+def _compare_serial(digest: str, serial, digest_of, what: str) -> None:
+    """Run ``serial`` as the oracle leg and fail unless its digest
+    (``digest_of`` of its ``run()`` output) equals ``digest``."""
+    serial_digest = digest_of(serial.run(**SERIAL_LEG))
+    match = digest == serial_digest
+    print(f"\nserial-equivalence check: {'OK' if match else 'MISMATCH'} "
+          f"(digest {digest[:16]}…)")
+    if not match:
+        raise ReproError(f"{what} diverged from the serial run: "
+                         f"{digest} != {serial_digest}")
+
+
 def _print_engine_occupancy(result) -> None:
     """One-line batched-engine disposition after a trace-driven study.
 
@@ -243,10 +262,11 @@ def run_ablation(args) -> int:
     if getattr(args, "adaptive", False):
         return _run_adaptive_ablation(args, shard_size, fault_plan,
                                       resolved_ckpt)
-    study = AblationStudy(mode=args.mode, machines=args.machines,
-                          epochs=args.epochs, warmup_epochs=args.warmup,
-                          seed=args.seed, shard_size=shard_size,
-                          fault_plan=fault_plan)
+    kwargs = dict(mode=args.mode, machines=args.machines,
+                  epochs=args.epochs, warmup_epochs=args.warmup,
+                  seed=args.seed, shard_size=shard_size,
+                  fault_plan=fault_plan)
+    study = AblationStudy(**kwargs)
     result = study.run(workers=args.workers,
                        cache_dir=args.cache_dir,
                        obs_dir=getattr(args, "obs_dir", None),
@@ -273,23 +293,8 @@ def run_ablation(args) -> int:
     if getattr(args, "compare_serial", False):
         from repro.analysis import result_digest
 
-        serial = AblationStudy(
-            mode=args.mode, machines=args.machines, epochs=args.epochs,
-            warmup_epochs=args.warmup, seed=args.seed,
-            shard_size=shard_size, fault_plan=fault_plan).run(
-                workers=1, cache_dir="", checkpoint_dir="")
-        # "" disables both stores: the serial leg must recompute, not
-        # replay the sharded entry or the shard journal.
-        sharded_digest = result_digest(result)
-        serial_digest = result_digest(serial)
-        match = sharded_digest == serial_digest
-        print(f"\nserial-equivalence check: "
-              f"{'OK' if match else 'MISMATCH'} "
-              f"(digest {sharded_digest[:16]}…)")
-        if not match:
-            raise ReproError(
-                f"sharded result diverged from serial run: "
-                f"{sharded_digest} != {serial_digest}")
+        _compare_serial(result_digest(result), AblationStudy(**kwargs),
+                        result_digest, "sharded result")
     return 0
 
 
@@ -330,18 +335,8 @@ def run_sweep(args) -> int:
     _print_queue_stats(sweep.queue_stats, resolved_ckpt)
 
     if args.compare_serial:
-        # Batching off, one worker, cache and journal disabled: the
-        # oracle leg.
-        serial = MicroFleetSweep(batch_size=0, **kwargs).run(
-            workers=1, cache_dir="", checkpoint_dir="")
-        serial_digest = sweep_digest(serial)
-        match = digest == serial_digest
-        print(f"serial-equivalence check: "
-              f"{'OK' if match else 'MISMATCH'} (digest {digest[:16]}…)")
-        if not match:
-            raise ReproError(
-                f"batched result diverged from serial scalar run: "
-                f"{digest} != {serial_digest}")
+        _compare_serial(digest, MicroFleetSweep(batch_size=0, **kwargs),
+                        sweep_digest, "batched result")
     return 0
 
 
@@ -493,17 +488,10 @@ def run_chaos(args) -> int:
     ])
 
     if args.compare_serial:
-        serial = ChaosStudy(fault_plan, **kwargs).run(workers=1)
-        sharded_digest = result_digest(outcome.faulted)
-        serial_digest = result_digest(serial.faulted)
-        match = sharded_digest == serial_digest
-        print(f"\nserial-equivalence check: "
-              f"{'OK' if match else 'MISMATCH'} "
-              f"(digest {sharded_digest[:16]}…)")
-        if not match:
-            raise ReproError(
-                f"sharded result diverged from serial run: "
-                f"{sharded_digest} != {serial_digest}")
+        _compare_serial(result_digest(outcome.faulted),
+                        ChaosStudy(fault_plan, **kwargs),
+                        lambda serial: result_digest(serial.faulted),
+                        "sharded result")
     return 0
 
 
@@ -737,10 +725,10 @@ def run_policy_compare(args) -> int:
     fault_plan = _resolve_fault_plan(args)
     checkpoint_dir, resolved_ckpt = _resolve_checkpoint(args)
     specs = _policy_specs(args)
-    comparison = PolicyComparison(
-        specs, machines=args.machines, epochs=args.epochs,
-        warmup_epochs=args.warmup, seed=args.seed,
-        shard_size=args.shard_size, fault_plan=fault_plan)
+    kwargs = dict(machines=args.machines, epochs=args.epochs,
+                  warmup_epochs=args.warmup, seed=args.seed,
+                  shard_size=args.shard_size, fault_plan=fault_plan)
+    comparison = PolicyComparison(specs, **kwargs)
     report = comparison.run(workers=args.workers, cache_dir=args.cache_dir,
                             obs_dir=getattr(args, "obs_dir", None),
                             checkpoint_dir=checkpoint_dir)
@@ -779,21 +767,8 @@ def run_policy_compare(args) -> int:
         print(f"wrote {args.out}")
 
     if getattr(args, "compare_serial", False):
-        serial = PolicyComparison(
-            specs, machines=args.machines, epochs=args.epochs,
-            warmup_epochs=args.warmup, seed=args.seed,
-            shard_size=args.shard_size, fault_plan=fault_plan).run(
-                workers=1, cache_dir="", checkpoint_dir="")
-        # "" disables both stores: the serial leg must recompute, not
-        # replay the sharded legs or the shard journal.
-        serial_digest = comparison_digest(serial)
-        match = digest == serial_digest
-        print(f"serial-equivalence check: "
-              f"{'OK' if match else 'MISMATCH'} (digest {digest[:16]}…)")
-        if not match:
-            raise ReproError(
-                f"sharded comparison diverged from serial run: "
-                f"{digest} != {serial_digest}")
+        _compare_serial(digest, PolicyComparison(specs, **kwargs),
+                        comparison_digest, "sharded comparison")
     return 0
 
 
@@ -846,18 +821,8 @@ def run_scenario_callgraph(args) -> int:
     _print_queue_stats(scenario.queue_stats, resolved_ckpt)
 
     if args.compare_serial:
-        # Batching off, one worker, cache and journal disabled: the
-        # oracle leg.
-        serial = CallGraphScenario(batch_size=0, **kwargs).run(
-            workers=1, cache_dir="", checkpoint_dir="")
-        serial_digest = callgraph_digest(serial)
-        match = digest == serial_digest
-        print(f"serial-equivalence check: "
-              f"{'OK' if match else 'MISMATCH'} (digest {digest[:16]}…)")
-        if not match:
-            raise ReproError(
-                f"batched result diverged from serial scalar run: "
-                f"{digest} != {serial_digest}")
+        _compare_serial(digest, CallGraphScenario(batch_size=0, **kwargs),
+                        callgraph_digest, "batched result")
     return 0
 
 
@@ -950,16 +915,6 @@ def run_scenario_noisy(args) -> int:
             for name, change in comparison.items()])
 
     if args.compare_serial:
-        # Batching off, one worker, cache and journal disabled: the
-        # oracle leg.
-        serial = NoisyNeighborScenario(batch_size=0, **kwargs).run(
-            workers=1, cache_dir="", checkpoint_dir="")
-        serial_digest = noisy_digest(serial)
-        match = digest == serial_digest
-        print(f"serial-equivalence check: "
-              f"{'OK' if match else 'MISMATCH'} (digest {digest[:16]}…)")
-        if not match:
-            raise ReproError(
-                f"batched result diverged from serial scalar run: "
-                f"{digest} != {serial_digest}")
+        _compare_serial(digest, NoisyNeighborScenario(batch_size=0, **kwargs),
+                        noisy_digest, "batched result")
     return 0

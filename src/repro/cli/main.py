@@ -7,6 +7,7 @@ import sys
 from typing import List, Optional
 
 from repro.cli import commands
+from repro.errors import ConfigError, TraceError
 
 
 def _add_execution_flags(subparser: argparse.ArgumentParser) -> None:
@@ -465,11 +466,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Exit code for invalid input: a bad flag value, spec, or input file
+#: (argparse uses the same code for malformed command lines).
+EXIT_INVALID_INPUT = 2
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    Invalid input — a :class:`~repro.errors.ConfigError` or
+    :class:`~repro.errors.TraceError` — prints one ``repro: error:``
+    line on stderr and exits with :data:`EXIT_INVALID_INPUT`, never a
+    traceback.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.run(args)
+    try:
+        return args.run(args)
+    except (ConfigError, TraceError) as error:
+        print(f"repro: error: {error}", file=sys.stderr)
+        return EXIT_INVALID_INPUT
 
 
 if __name__ == "__main__":

@@ -138,6 +138,10 @@ class FaultPlan:
         chunks = [chunk.strip() for chunk in spec.split(";") if chunk.strip()]
         if not chunks:
             raise ConfigError("empty fault plan spec")
+        seeds = [chunk for chunk in chunks if chunk.startswith("seed=")]
+        if len(seeds) > 1:
+            raise ConfigError(
+                f"fault plan sets the seed {len(seeds)} times: {spec!r}")
         for chunk in chunks:
             if chunk.startswith("seed="):
                 try:

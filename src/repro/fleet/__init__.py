@@ -55,6 +55,7 @@ from repro.fleet.queue import (
     shard_checkpoint,
     shard_task_material,
 )
+from repro.fleet.runner import run_study
 from repro.fleet.adaptive import (
     AdaptiveAblation,
     AdaptiveResult,
@@ -98,6 +99,7 @@ __all__ = [
     "run_checkpointed",
     "shard_checkpoint",
     "shard_task_material",
+    "run_study",
     "AdaptiveAblation",
     "AdaptiveResult",
     "ArmState",

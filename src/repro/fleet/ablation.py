@@ -18,23 +18,31 @@ bit-identical results to ``run(workers=1)``.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
-import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.core.config import LimoncelloConfig, RetryPolicy
-from repro.errors import ConfigError
+from repro.errors import ConfigError, TraceError
 from repro.faults.metrics import ChaosMetrics, collect_chaos_metrics
 from repro.faults.plan import FaultPlan
 from repro.fleet.cluster import Fleet, FleetMetrics
-from repro.fleet.parallel import resolve_workers
+from repro.fleet.platform import PLATFORM_1, PlatformSpec
 from repro.fleet.shard import DEFAULT_SHARD_SIZE, ShardPlan, plan_shards
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.obs.tracer import NULL_TRACER
 from repro.profiling.profiler import FleetProfiler
 from repro.profiling.profile_data import ProfileData
-from repro.serialization import canonical_json
+from repro.serialization import (
+    arms_from_dict,
+    arms_to_dict,
+    canonical_json,
+    chaos_metrics_from_dict,
+    chaos_metrics_to_dict,
+    policy_metrics_from_dict,
+    policy_metrics_to_dict,
+)
 
 if TYPE_CHECKING:
     from repro.policy.metrics import PolicyMetrics
@@ -78,6 +86,66 @@ def _config_key_material(config: Optional[LimoncelloConfig]):
     return material
 
 
+def _fleet_key_material(study, **head) -> Dict:
+    """The whole-study key material an analytic fleet study (ablation,
+    rollout) is built from: ``head`` (the ablation's mode) after the
+    study kind, then the parameters both studies share.
+
+    Excludes the worker count (results are identical at any
+    parallelism) and includes the shard size (the plan shapes the
+    machine populations). A fault plan enters only when set, so
+    fault-free keys — and their cached results — are unchanged from
+    earlier revisions.
+    """
+    material = {
+        "study": study.STUDY,
+        **head,
+        "machines": study.machines,
+        "epochs": study.epochs,
+        "warmup_epochs": study.warmup_epochs,
+        "seed": study.seed,
+        "shard_size": study.shard_size,
+        "profile_sample_rate": study._sample_rate,
+        "config": _config_key_material(study.config),
+    }
+    if study.fault_plan is not None:
+        material["fault_plan"] = study.fault_plan.to_key_material()
+    return material
+
+
+def _add_platform_key(material: Dict, platform: PlatformSpec) -> Dict:
+    """Key a non-default platform by its full spec; the default
+    (:data:`~repro.fleet.platform.PLATFORM_1`) adds nothing, so keys of
+    studies that never chose a platform are unchanged."""
+    if platform != PLATFORM_1:
+        material["platform"] = dataclasses.asdict(platform)
+    return material
+
+
+def _fleet_task_materials(study, traced: bool) -> List[Dict]:
+    """Work-queue key material per shard of a fleet study (plan order).
+
+    Each key covers the whole study identity (via
+    ``cache_key_material()``) plus the shard's own population, seed, and
+    plan position, so a shard journaled by one study can never be
+    restored into a different one. ``traced`` keys traced (obs) payloads
+    separately from plain ones — they journal different payload shapes.
+    """
+    from repro.fleet.queue import shard_task_material
+
+    base = study.cache_key_material()
+    return [
+        shard_task_material(study.STUDY, {
+            **base,
+            "shard_machines": spec.machines,
+            "shard_seed": spec.seed,
+            "shard_index": spec.shard_index,
+            "traced": traced,
+        })
+        for spec in study.shard_specs()
+    ]
+
+
 @dataclass
 class AblationResult:
     """Paired metrics and profiles for control vs. experiment arms."""
@@ -118,6 +186,38 @@ class AblationResult:
                 self.policy_metrics = PolicyMetrics()
             self.policy_metrics.merge(other.policy_metrics)
         return self
+
+    _METRICS = ("control", "experiment")
+    _PROFILES = ("control_profile", "experiment_profile")
+
+    def to_dict(self) -> Dict:
+        """Lossless plain-data form (the cache and journal codec)."""
+        data = {"mode": self.mode,
+                **arms_to_dict(self, self._METRICS, self._PROFILES)}
+        if self.chaos is not None:
+            data["chaos"] = chaos_metrics_to_dict(self.chaos)
+        if self.policy_metrics is not None:
+            data["policy_metrics"] = policy_metrics_to_dict(
+                self.policy_metrics)
+        return data
+
+    @classmethod
+    def from_dict(cls, data: Dict) -> "AblationResult":
+        """Inverse of :meth:`to_dict`. Payloads without ``chaos`` or
+        ``policy_metrics`` restore with those fields ``None``; a
+        malformed one raises ``TraceError``."""
+        try:
+            chaos = data.get("chaos")
+            policy_metrics = data.get("policy_metrics")
+            return cls(
+                mode=data["mode"],
+                **arms_from_dict(data, cls._METRICS, cls._PROFILES),
+                chaos=None if chaos is None else chaos_metrics_from_dict(chaos),
+                policy_metrics=(None if policy_metrics is None
+                                else policy_metrics_from_dict(policy_metrics)))
+        except (KeyError, TypeError) as error:
+            raise TraceError(
+                f"malformed ablation result record: {error}") from error
 
     def bandwidth_reduction(self) -> Dict[str, float]:
         """Fractional socket-bandwidth change, experiment vs control —
@@ -185,71 +285,28 @@ class AblationShardSpec:
     #: the stock hysteresis deployment. A string (not a Policy object)
     #: so the spec stays hashable and picklable across pool workers.
     policy_json: Optional[str] = None
+    #: Server generation of every machine in the shard.
+    platform: PlatformSpec = PLATFORM_1
 
 
-def run_ablation_shard(spec: AblationShardSpec) -> AblationResult:
+def run_ablation_shard(spec: AblationShardSpec, traced: bool = False):
     """Run one shard (both arms) to completion. Pure function of the
-    spec — the process-pool worker entry point."""
-    study = AblationStudy(
-        mode=spec.mode, machines=spec.machines, epochs=spec.epochs,
-        warmup_epochs=spec.warmup_epochs, seed=spec.seed,
-        config=spec.config, profile_sample_rate=spec.profile_sample_rate,
-        fault_plan=spec.fault_plan, policy=spec.policy_json)
-    return study._run_single()
+    spec — the process-pool worker entry point.
 
-
-def _traced_single(study, tracer: Tracer, index: int, machines: int,
-                   seed: int, epochs: int):
-    """Run a study's single-fleet path under ``tracer``, bracketed by
-    shard-start/shard-finish events. The finish timestamp is the latest
-    simulated time any event observed — a pure function of the shard
-    parameters, like every other ``t_ns`` in the log."""
-    tracer.event("shard-start", 0.0, index=index, machines=machines,
-                 seed=seed)
-    result = study._run_single(tracer)
-    t_end = max((event["t_ns"] for event in tracer.events), default=0.0)
-    tracer.event("shard-finish", t_end, index=index, epochs=epochs)
-    return result
-
-
-def obs_shard_payload(output: Tuple) -> Dict:
-    """Serialize one traced shard output — ``(result, events, wall)`` —
-    for the checkpoint journal. Events are already plain dicts; the wall
-    time rides along so a resumed run's manifest reports the original
-    compute cost rather than the (near-zero) restore cost."""
-    from repro.serialization import ablation_result_to_dict
-
-    result, events, wall = output
-    return {"result": ablation_result_to_dict(result),
-            "events": list(events), "wall": wall}
-
-
-def obs_shard_from_payload(payload: Dict) -> Tuple:
-    """Inverse of :func:`obs_shard_payload`."""
-    from repro.serialization import ablation_result_from_dict
-
-    return (ablation_result_from_dict(payload["result"]),
-            list(payload["events"]), float(payload["wall"]))
-
-
-def run_ablation_shard_obs(
-        spec: AblationShardSpec) -> Tuple[AblationResult, List[Dict], float]:
-    """Traced worker twin of :func:`run_ablation_shard`.
-
-    Builds the tracer *inside* the worker (tracers never cross process
-    boundaries) and returns ``(result, events, wall_seconds)``; the
-    parent splices the events into the merged log in plan order.
+    Returns the shard's :class:`AblationResult`; with ``traced`` it
+    returns ``(result, events, wall_seconds)`` from
+    :func:`~repro.fleet.runner.trace_shard` instead.
     """
-    start = time.monotonic()
     study = AblationStudy(
         mode=spec.mode, machines=spec.machines, epochs=spec.epochs,
         warmup_epochs=spec.warmup_epochs, seed=spec.seed,
         config=spec.config, profile_sample_rate=spec.profile_sample_rate,
-        fault_plan=spec.fault_plan, policy=spec.policy_json)
-    tracer = Tracer()
-    result = _traced_single(study, tracer, spec.shard_index, spec.machines,
-                            spec.seed, spec.epochs)
-    return result, tracer.events, time.monotonic() - start
+        fault_plan=spec.fault_plan, policy=spec.policy_json,
+        platform=spec.platform)
+    if traced:
+        from repro.fleet.runner import trace_shard
+        return trace_shard(study._run_single, spec)
+    return study._run_single()
 
 
 class AblationStudy:
@@ -266,13 +323,24 @@ class AblationStudy:
             dict, or canonical JSON. Requires a daemon-running mode
             (``hard``/``hard+soft``). Enters cache and shard-task keys
             only when set, so policy-free study keys are unchanged.
+        platform: Server generation of every machine (Table 1 compares
+            :data:`~repro.fleet.platform.PLATFORM_1` with
+            :data:`~repro.fleet.platform.PLATFORM_2`). Enters the keys
+            only when not ``PLATFORM_1``, the default.
+
+    Runs through :func:`~repro.fleet.runner.run_study`; see there for
+    the study protocol this class implements.
     """
+
+    STUDY = "ablation"
+    RESULT = AblationResult
+    TRACED_WORKER = True
 
     def __init__(self, mode: str = "off", machines: int = 30,
                  epochs: int = 100, seed: int = 11,
                  warmup_epochs: int = 20,
                  config: Optional[LimoncelloConfig] = None,
-                 fleet_factory: Optional[Callable[[int], Fleet]] = None,
+                 platform: PlatformSpec = PLATFORM_1,
                  profile_sample_rate: float = 0.25,
                  shard_size: int = DEFAULT_SHARD_SIZE,
                  fault_plan: Optional[FaultPlan] = None,
@@ -302,7 +370,7 @@ class AblationStudy:
         self.config = config
         self.shard_size = shard_size
         self.fault_plan = fault_plan
-        self._fleet_factory = fleet_factory
+        self.platform = platform
         self._sample_rate = profile_sample_rate
         #: Work-queue disposition of the last :meth:`run` (a
         #: :class:`~repro.fleet.queue.QueueStats`), or ``None``.
@@ -324,61 +392,24 @@ class AblationStudy:
                 config=self.config,
                 profile_sample_rate=self._sample_rate,
                 fault_plan=self.fault_plan, shard_index=index,
-                policy_json=self.policy_json)
+                policy_json=self.policy_json, platform=self.platform)
             for index, (size, seed)
             in enumerate(zip(plan.sizes, plan.seeds(self.seed)))
         ]
 
     def cache_key_material(self) -> Dict:
-        """Everything the study's result depends on, as plain data.
-
-        Deliberately excludes the worker count (results are identical at
-        any parallelism) and includes the shard size (the plan shapes the
-        machine populations). Fault plans and the hardening knobs enter
-        the key only when set, so fault-free study keys — and their
-        cached results — are unchanged from earlier revisions.
-        """
-        config = self.config
-        material = {
-            "study": "ablation",
-            "mode": self.mode,
-            "machines": self.machines,
-            "epochs": self.epochs,
-            "warmup_epochs": self.warmup_epochs,
-            "seed": self.seed,
-            "shard_size": self.shard_size,
-            "profile_sample_rate": self._sample_rate,
-            "config": _config_key_material(self.config),
-        }
-        if self.fault_plan is not None:
-            material["fault_plan"] = self.fault_plan.to_key_material()
+        """Everything the study's result depends on, as plain data (see
+        :func:`_fleet_key_material`). The policy and a non-default
+        platform enter only when set."""
+        material = _fleet_key_material(self, mode=self.mode)
         if self.policy_json is not None:
             material["policy"] = json.loads(self.policy_json)
-        return material
+        return _add_platform_key(material, self.platform)
 
     def shard_task_materials(self, traced: bool = False) -> List[Dict]:
-        """Work-queue key material per shard (plan order).
-
-        Each key covers the whole study identity (mode, epochs, config
-        signature, fault plan — via :meth:`cache_key_material`) plus the
-        shard's own population, seed, and plan position, so a shard
-        journaled by one study can never be restored into a different
-        one. ``traced`` keys traced (obs) payloads separately from plain
-        ones — they journal different payload shapes.
-        """
-        from repro.fleet.queue import shard_task_material
-
-        base = self.cache_key_material()
-        return [
-            shard_task_material("ablation", {
-                **base,
-                "shard_machines": spec.machines,
-                "shard_seed": spec.seed,
-                "shard_index": spec.shard_index,
-                "traced": traced,
-            })
-            for spec in self.shard_specs()
-        ]
+        """Work-queue key material per shard (plan order; see
+        :func:`_fleet_task_materials`)."""
+        return _fleet_task_materials(self, traced)
 
     # --- the trace-driven companion ------------------------------------------
 
@@ -406,17 +437,9 @@ class AblationStudy:
 
     # --- execution -----------------------------------------------------------
 
-    def _build_fleet(self, seed: int, tracer=None) -> Fleet:
-        if self._fleet_factory is not None:
-            fleet = self._fleet_factory(seed)
-            if tracer:
-                # Factory fleets still join the event stream: daemons are
-                # deployed by _apply_mode, after this attribute lands.
-                for machine in fleet.machines:
-                    machine.tracer = tracer
-            return fleet
-        return Fleet(machines=self.machines, seed=seed,
-                     fault_plan=self.fault_plan,
+    def _build_fleet(self, tracer) -> Fleet:
+        return Fleet(machines=self.machines, seed=self.seed,
+                     platform=self.platform, fault_plan=self.fault_plan,
                      tracer=tracer if tracer else None)
 
     def _apply_mode(self, fleet: Fleet) -> None:
@@ -443,8 +466,8 @@ class AblationStudy:
     def _run_single(self, tracer=None) -> AblationResult:
         """Run the whole population as one fleet (no sharding)."""
         tracer = tracer or NULL_TRACER
-        control_fleet = self._build_fleet(self.seed, tracer)
-        experiment_fleet = self._build_fleet(self.seed, tracer)
+        control_fleet = self._build_fleet(tracer)
+        experiment_fleet = self._build_fleet(tracer)
         self._apply_mode(experiment_fleet)
 
         control_profiler = FleetProfiler(
@@ -491,134 +514,11 @@ class AblationStudy:
             obs_dir: Optional[str] = None,
             checkpoint_dir: Optional[str] = None,
             resume: bool = True) -> AblationResult:
-        """Run both arms and collect the paired result.
+        """Run both arms across every shard and merge the paired result,
+        through :func:`~repro.fleet.runner.run_study` (whose arguments
+        these are); :attr:`queue_stats` then holds the queue disposition."""
+        from repro.fleet.runner import run_study
 
-        Args:
-            workers: Process-pool size for sharded execution. ``None``
-                reads ``$REPRO_WORKERS`` (default 1, serial); ``0``
-                means all CPUs. The result is identical at any value.
-            cache_dir: Directory for the on-disk result cache. ``None``
-                reads ``$REPRO_CACHE_DIR``; empty/unset disables
-                caching. A hit skips the computation entirely.
-            obs_dir: Run directory for the observability layer. ``None``
-                reads ``$REPRO_OBS_DIR``; empty/unset disables it. When
-                set, the study writes ``events.jsonl`` and
-                ``manifest.json`` there; a cold run's event log is
-                byte-identical at any worker count.
-            checkpoint_dir: Shard-journal directory for the work queue.
-                ``None`` reads ``$REPRO_CHECKPOINT``; empty/unset
-                disables checkpointing. When set, every finished shard
-                is journaled the moment it completes and a re-run
-                restores finished shards instead of recomputing — the
-                merged result stays bit-identical either way.
-            resume: With a checkpoint directory, whether to restore
-                journaled shards (``True``, the default) or recompute
-                everything while still journaling (``False``).
-
-        After the call, :attr:`queue_stats` holds the work-queue
-        disposition (``None`` when the sharded path did not run).
-        """
-        from repro.fleet.queue import run_checkpointed, shard_checkpoint
-        from repro.fleet.result_cache import study_cache
-        from repro.obs.session import ObsSession, resolve_obs_dir
-        from repro.serialization import (ablation_result_from_dict,
-                                         ablation_result_to_dict)
-
-        workers = resolve_workers(workers)
-        obs_dir = resolve_obs_dir(obs_dir)
-        session = (ObsSession(obs_dir, "ablation", workers=workers)
-                   if obs_dir is not None else None)
-        if session is not None:
-            session.event("study-start", study="ablation")
-        self.queue_stats = None
-
-        cache = None
-        checkpoint = None
-        if self._fleet_factory is None:
-            # A custom factory is opaque: it cannot be content-hashed
-            # (no cache key) nor resized per shard, so those studies run
-            # unsharded, uncached, and uncheckpointed.
-            cache = study_cache(cache_dir)
-            checkpoint = shard_checkpoint(checkpoint_dir)
-
-        result = None
-        hit = False
-        if cache is not None:
-            material = self.cache_key_material()
-            result = cache.load_ablation(material)
-            hit = result is not None
-            if session is not None:
-                session.cache_probe(hit, cache.key_for(material))
-
-        if result is None:
-            if self._fleet_factory is not None:
-                if session is not None:
-                    with session.phase("execute"):
-                        tracer = session.shard_tracer()
-                        result = _traced_single(
-                            self, tracer, 0, self.machines, self.seed,
-                            self.epochs)
-                    session.add_shard(0, tracer.events)
-                else:
-                    result = self._run_single()
-            else:
-                specs = self.shard_specs()
-                if session is not None:
-                    materials = self.shard_task_materials(traced=True)
-                    with session.phase("execute"):
-                        outputs, stats = run_checkpointed(
-                            run_ablation_shard_obs, specs, materials,
-                            workers, checkpoint=checkpoint,
-                            to_payload=obs_shard_payload,
-                            from_payload=obs_shard_from_payload,
-                            resume=resume)
-                    self.queue_stats = stats
-                    if checkpoint is not None:
-                        session.queue_stats(stats)
-                    results = []
-                    for spec, (shard, events, wall) in zip(specs, outputs):
-                        session.add_shard(spec.shard_index, events, wall)
-                        results.append(shard)
-                    if checkpoint is not None:
-                        restored = set(stats.restored_indexes)
-                        for spec in specs:
-                            session.event(
-                                "shard-restored"
-                                if spec.shard_index in restored
-                                else "shard-checkpoint",
-                                index=spec.shard_index)
-                    with session.phase("merge"):
-                        result = results[0]
-                        for index, shard in enumerate(results[1:], start=1):
-                            session.event("merge-step", index=index)
-                            result.merge(shard)
-                else:
-                    materials = self.shard_task_materials(traced=False)
-                    shards, stats = run_checkpointed(
-                        run_ablation_shard, specs, materials, workers,
-                        checkpoint=checkpoint,
-                        to_payload=ablation_result_to_dict,
-                        from_payload=ablation_result_from_dict,
-                        resume=resume)
-                    self.queue_stats = stats
-                    result = shards[0]
-                    for shard in shards[1:]:
-                        result.merge(shard)
-
-            if cache is not None:
-                material = self.cache_key_material()
-                cache.store_ablation(material, result)
-                if session is not None:
-                    session.event("cache-store", key=cache.key_for(material))
-
-        if session is not None:
-            session.event("study-finish", study="ablation")
-            plan = (self.shard_plan() if self._fleet_factory is None
-                    else None)
-            session.finalize(
-                self.cache_key_material(),
-                shard_seeds=(plan.seeds(self.seed) if plan is not None
-                             else [self.seed]),
-                fault_plan=(self.fault_plan.spec()
-                            if self.fault_plan is not None else None))
-        return result
+        return run_study(self, run_ablation_shard, workers=workers,
+                         cache_dir=cache_dir, checkpoint_dir=checkpoint_dir,
+                         resume=resume, obs_dir=obs_dir)

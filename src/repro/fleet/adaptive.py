@@ -296,8 +296,6 @@ class AdaptiveAblation:
         """
         from repro.fleet.queue import run_checkpointed, shard_checkpoint
         from repro.obs.session import ObsSession, resolve_obs_dir
-        from repro.serialization import (ablation_result_from_dict,
-                                         ablation_result_to_dict)
 
         workers = resolve_workers(workers)
         checkpoint = shard_checkpoint(checkpoint_dir)
@@ -330,8 +328,8 @@ class AdaptiveAblation:
                     run_ablation_shard, specs[mode][start:stop],
                     materials[mode][start:stop], workers,
                     checkpoint=checkpoint,
-                    to_payload=ablation_result_to_dict,
-                    from_payload=ablation_result_from_dict,
+                    to_payload=AblationResult.to_dict,
+                    from_payload=AblationResult.from_dict,
                     resume=resume)
                 arm = arms[mode]
                 for spec, result in zip(specs[mode][start:stop], outputs):

@@ -264,26 +264,3 @@ class StudyResultCache:
             "valid": valid,
             "corrupt": corrupt,
         }
-
-    # --- typed study entry points --------------------------------------------------
-
-    def load_ablation(self, material: Dict):
-        """A cached :class:`~repro.fleet.ablation.AblationResult`, or
-        ``None``. A payload that no longer deserializes (e.g. written by
-        a different code version despite matching keys) is a miss."""
-        from repro.errors import TraceError
-        from repro.serialization import ablation_result_from_dict
-
-        payload = self.load(material)
-        if payload is None:
-            return None
-        try:
-            return ablation_result_from_dict(payload)
-        except TraceError:
-            return None
-
-    def store_ablation(self, material: Dict, result) -> pathlib.Path:
-        """Archive one ablation result under ``material``'s key."""
-        from repro.serialization import ablation_result_to_dict
-
-        return self.store(material, ablation_result_to_dict(result))

@@ -40,7 +40,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.faults.plan import FaultPlan, fault_rng
-from repro.fleet.parallel import resolve_workers
 from repro.fleet.shard import DEFAULT_SHARD_SIZE, ShardPlan, plan_shards
 from repro.serialization import canonical_json
 
@@ -335,7 +334,13 @@ class MicroFleetSweep:
             interleave from :mod:`repro.scenarios`). Enters cache and
             shard-task keys only when non-default, so existing keys are
             unchanged.
+
+    Runs through :func:`~repro.fleet.runner.run_study`.
     """
+
+    STUDY = "micro-sweep"
+    RESULT = MicroSweepResult
+    TRACED_WORKER = False
 
     def __init__(self, mode: str = "off", machines: int = 64,
                  seed: int = 17, scale: float = 1.0,
@@ -465,56 +470,23 @@ class MicroFleetSweep:
 
     # --- execution ---------------------------------------------------------------
 
+    @staticmethod
+    def shard_meta(spec: MicroSweepShardSpec) -> Dict:
+        """Fields of the shard's study-level ``shard-start`` /
+        ``shard-finish`` events: a sweep shard replays its trace once."""
+        return {"machines": spec.machines, "seed": spec.trace_seed,
+                "epochs": 1}
+
     def run(self, workers: Optional[int] = None,
             cache_dir: Optional[str] = None,
             checkpoint_dir: Optional[str] = None,
-            resume: bool = True) -> MicroSweepResult:
-        """Run every shard and merge the rows in plan order.
+            resume: bool = True,
+            obs_dir: Optional[str] = None) -> MicroSweepResult:
+        """Run every shard and merge the rows in plan order, through
+        :func:`~repro.fleet.runner.run_study` (whose arguments these
+        are); :attr:`queue_stats` then holds the queue disposition."""
+        from repro.fleet.runner import run_study
 
-        Args:
-            workers: Process-pool size. ``None`` reads ``$REPRO_WORKERS``
-                (default 1, serial); ``0`` means all CPUs. The result is
-                identical at any value.
-            cache_dir: Result-cache directory (``None`` reads
-                ``$REPRO_CACHE_DIR``; empty/unset disables caching).
-            checkpoint_dir: Shard-journal directory (``None`` reads
-                ``$REPRO_CHECKPOINT``; empty/unset disables
-                checkpointing). Finished shards journal as they land
-                and a re-run restores them; the merged result — and
-                :func:`sweep_digest` — is bit-identical either way.
-            resume: Whether to restore journaled shards (default) or
-                recompute while still journaling.
-
-        After the call, :attr:`queue_stats` holds the work-queue
-        disposition (``None`` on a whole-study cache hit).
-        """
-        from repro.fleet.queue import run_checkpointed, shard_checkpoint
-        from repro.fleet.result_cache import study_cache
-
-        workers = resolve_workers(workers)
-        cache = study_cache(cache_dir)
-        checkpoint = shard_checkpoint(checkpoint_dir)
-        self.queue_stats = None
-        material = None
-        if cache is not None:
-            material = self.cache_key_material()
-            payload = cache.load(material)
-            if payload is not None:
-                try:
-                    return MicroSweepResult.from_dict(payload)
-                except (KeyError, TypeError):
-                    pass  # stale/foreign payload: recompute, overwrite
-        specs = self.shard_specs()
-        shards, stats = run_checkpointed(
-            run_sweep_shard, specs, self.shard_task_materials(), workers,
-            checkpoint=checkpoint,
-            to_payload=MicroSweepResult.to_dict,
-            from_payload=MicroSweepResult.from_dict,
-            resume=resume)
-        self.queue_stats = stats
-        result = shards[0]
-        for shard in shards[1:]:
-            result.merge(shard)
-        if cache is not None:
-            cache.store(material, result.to_dict())
-        return result
+        return run_study(self, run_sweep_shard, workers=workers,
+                         cache_dir=cache_dir, checkpoint_dir=checkpoint_dir,
+                         resume=resume, obs_dir=obs_dir)

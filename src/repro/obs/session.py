@@ -34,7 +34,6 @@ from repro.obs.events import (
     canonical_event_line,
     write_events_jsonl,
 )
-from repro.obs.tracer import Tracer
 
 #: Environment override for the default run-directory location; unset or
 #: empty leaves observability off.
@@ -126,11 +125,6 @@ class ObsSession:
         finally:
             self._phases.append(
                 {"name": name, "wall_s": time.monotonic() - start})
-
-    def shard_tracer(self) -> Tracer:
-        """A tracer for an in-process (unsharded) execution; pair with
-        :meth:`add_shard` once it completes."""
-        return Tracer()
 
     # --- output ----------------------------------------------------------------
 

@@ -129,10 +129,14 @@ def parse_services(text: str) -> Tuple[ServiceSpec, ...]:
         if fanout.strip():
             for edge in fanout.split("+"):
                 child, star, count = edge.strip().partition("*")
-                if not star:
+                try:
+                    if not star:
+                        raise ValueError(edge)
+                    calls.append((child.strip(), int(count)))
+                except ValueError:
                     raise ConfigError(
-                        f"fan-out edge {edge!r} must be child*calls")
-                calls.append((child.strip(), int(count)))
+                        f"fan-out edge {edge!r} must be child*calls"
+                    ) from None
         try:
             services.append(ServiceSpec(
                 name=name, kind=kind, replicas=int(replicas),
@@ -343,6 +347,8 @@ class CallGraphScenario:
     """
 
     STUDY = "scenario-callgraph"
+    RESULT = CallGraphResult
+    TRACED_WORKER = False
 
     def __init__(self, services=None, requests: int = 32,
                  seed: int = 21, mode: str = "off",
@@ -514,27 +520,23 @@ class CallGraphScenario:
 
     # --- execution ---------------------------------------------------------------
 
+    @staticmethod
+    def shard_meta(spec: CallGraphShardSpec) -> Dict:
+        """Fields of the shard's study-level ``shard-start`` /
+        ``shard-finish`` events."""
+        return {"machines": spec.replicas, "seed": spec.study_seed,
+                "epochs": spec.requests}
+
     def run(self, workers: Optional[int] = None,
             cache_dir: Optional[str] = None,
             checkpoint_dir: Optional[str] = None,
             resume: bool = True,
             obs_dir: Optional[str] = None) -> CallGraphResult:
-        """Run every service shard and merge rows in plan order.
+        """Run every service shard and merge rows in plan order, through
+        :func:`~repro.fleet.runner.run_study` (whose arguments these
+        are); :attr:`queue_stats` then holds the queue disposition."""
+        from repro.fleet.runner import run_study
 
-        Same contract as :meth:`MicroFleetSweep.run
-        <repro.fleet.sweep.MicroFleetSweep.run>`: the result is
-        bit-identical at any worker count, batch size, and
-        checkpoint/resume disposition. After the call,
-        :attr:`queue_stats` holds the work-queue disposition.
-        """
-        from repro.scenarios.study import run_scenario_study
-
-        result, stats = run_scenario_study(
-            self, run_callgraph_shard, CallGraphResult.from_dict,
-            workers=workers, cache_dir=cache_dir,
-            checkpoint_dir=checkpoint_dir, resume=resume, obs_dir=obs_dir,
-            shard_meta=lambda spec: {"machines": spec.replicas,
-                                     "seed": spec.study_seed,
-                                     "epochs": spec.requests})
-        self.queue_stats = stats
-        return result
+        return run_study(self, run_callgraph_shard, workers=workers,
+                         cache_dir=cache_dir, checkpoint_dir=checkpoint_dir,
+                         resume=resume, obs_dir=obs_dir)

@@ -445,6 +445,8 @@ class NoisyNeighborScenario:
     """
 
     STUDY = "scenario-noisy"
+    RESULT = NoisyNeighborResult
+    TRACED_WORKER = False
 
     def __init__(self, tenants=None, machines: int = 8, epochs: int = 24,
                  seed: int = 23, mode: str = "hard",
@@ -581,28 +583,26 @@ class NoisyNeighborScenario:
 
     # --- execution ---------------------------------------------------------------
 
+    @staticmethod
+    def shard_meta(spec: NoisyShardSpec) -> Dict:
+        """Fields of the shard's study-level ``shard-start`` /
+        ``shard-finish`` events."""
+        return {"machines": spec.machines, "seed": spec.study_seed,
+                "epochs": spec.epochs}
+
     def run(self, workers: Optional[int] = None,
             cache_dir: Optional[str] = None,
             checkpoint_dir: Optional[str] = None,
             resume: bool = True,
             obs_dir: Optional[str] = None) -> NoisyNeighborResult:
-        """Run every machine shard and merge rows in plan order.
+        """Run every machine shard and merge rows in plan order, through
+        :func:`~repro.fleet.runner.run_study` (whose arguments these
+        are); :attr:`queue_stats` then holds the queue disposition."""
+        from repro.fleet.runner import run_study
 
-        Same contract as :meth:`MicroFleetSweep.run
-        <repro.fleet.sweep.MicroFleetSweep.run>`; after the call,
-        :attr:`queue_stats` holds the work-queue disposition.
-        """
-        from repro.scenarios.study import run_scenario_study
-
-        result, stats = run_scenario_study(
-            self, run_noisy_shard, NoisyNeighborResult.from_dict,
-            workers=workers, cache_dir=cache_dir,
-            checkpoint_dir=checkpoint_dir, resume=resume, obs_dir=obs_dir,
-            shard_meta=lambda spec: {"machines": spec.machines,
-                                     "seed": spec.study_seed,
-                                     "epochs": spec.epochs})
-        self.queue_stats = stats
-        return result
+        return run_study(self, run_noisy_shard, workers=workers,
+                         cache_dir=cache_dir, checkpoint_dir=checkpoint_dir,
+                         resume=resume, obs_dir=obs_dir)
 
     def baseline_twin(self) -> "NoisyNeighborScenario":
         """The paired always-``enabled`` arm over identical traffic —

@@ -396,93 +396,24 @@ def policy_from_dict(data: Dict):
     return rebuild(data)
 
 
-def ablation_result_to_dict(result) -> Dict:
-    """A paired ablation result as a plain dict (lossless: includes the
-    raw samples needed to rebuild every view)."""
-    data = {
-        "mode": result.mode,
-        "control": fleet_metrics_to_dict(result.control,
-                                         include_samples=True),
-        "experiment": fleet_metrics_to_dict(result.experiment,
-                                            include_samples=True),
-        "control_profile": profile_data_to_dict(result.control_profile),
-        "experiment_profile": profile_data_to_dict(
-            result.experiment_profile),
-    }
-    chaos = getattr(result, "chaos", None)
-    if chaos is not None:
-        data["chaos"] = chaos_metrics_to_dict(chaos)
-    policy_metrics = getattr(result, "policy_metrics", None)
-    if policy_metrics is not None:
-        data["policy_metrics"] = policy_metrics_to_dict(policy_metrics)
+def arms_to_dict(result, metrics: Iterable[str],
+                 profiles: Iterable[str]) -> Dict:
+    """A fleet study result's arms as plain data: each named
+    :class:`~repro.fleet.cluster.FleetMetrics` attribute with its raw
+    samples (so every view rebuilds bit-exactly), then each named
+    profile attribute — in the order given."""
+    data = {name: fleet_metrics_to_dict(getattr(result, name),
+                                        include_samples=True)
+            for name in metrics}
+    data.update({name: profile_data_to_dict(getattr(result, name))
+                 for name in profiles})
     return data
 
 
-def ablation_result_from_dict(data: Dict):
-    """Inverse of :func:`ablation_result_to_dict`.
-
-    Payloads written before chaos studies (or policy studies) existed
-    simply lack the ``chaos``/``policy_metrics`` keys and deserialize
-    with those fields ``None``.
-    """
-    from repro.fleet.ablation import AblationResult
-
-    try:
-        chaos = data.get("chaos")
-        policy_metrics = data.get("policy_metrics")
-        return AblationResult(
-            mode=data["mode"],
-            control=fleet_metrics_from_dict(data["control"]),
-            experiment=fleet_metrics_from_dict(data["experiment"]),
-            control_profile=profile_data_from_dict(data["control_profile"]),
-            experiment_profile=profile_data_from_dict(
-                data["experiment_profile"]),
-            chaos=None if chaos is None else chaos_metrics_from_dict(chaos),
-            policy_metrics=(None if policy_metrics is None
-                            else policy_metrics_from_dict(policy_metrics)),
-        )
-    except (KeyError, TypeError) as error:
-        raise TraceError(
-            f"malformed ablation result record: {error}") from error
-
-
-def rollout_result_to_dict(result) -> Dict:
-    """A rollout shard result as a plain dict (lossless: raw samples
-    included, so a checkpointed shard restores bit-identically)."""
-    data = {
-        "before": fleet_metrics_to_dict(result.before,
-                                        include_samples=True),
-        "hard_only": fleet_metrics_to_dict(result.hard_only,
-                                           include_samples=True),
-        "full": fleet_metrics_to_dict(result.full, include_samples=True),
-        "full_integrated": fleet_metrics_to_dict(result.full_integrated,
-                                                 include_samples=True),
-        "before_profile": profile_data_to_dict(result.before_profile),
-        "hard_profile": profile_data_to_dict(result.hard_profile),
-        "full_profile": profile_data_to_dict(result.full_profile),
-    }
-    chaos = getattr(result, "chaos", None)
-    if chaos is not None:
-        data["chaos"] = chaos_metrics_to_dict(chaos)
-    return data
-
-
-def rollout_result_from_dict(data: Dict):
-    """Inverse of :func:`rollout_result_to_dict`."""
-    from repro.fleet.rollout import RolloutResult
-
-    try:
-        chaos = data.get("chaos")
-        return RolloutResult(
-            before=fleet_metrics_from_dict(data["before"]),
-            hard_only=fleet_metrics_from_dict(data["hard_only"]),
-            full=fleet_metrics_from_dict(data["full"]),
-            full_integrated=fleet_metrics_from_dict(data["full_integrated"]),
-            before_profile=profile_data_from_dict(data["before_profile"]),
-            hard_profile=profile_data_from_dict(data["hard_profile"]),
-            full_profile=profile_data_from_dict(data["full_profile"]),
-            chaos=None if chaos is None else chaos_metrics_from_dict(chaos),
-        )
-    except (KeyError, TypeError) as error:
-        raise TraceError(
-            f"malformed rollout result record: {error}") from error
+def arms_from_dict(data: Dict, metrics: Iterable[str],
+                   profiles: Iterable[str]) -> Dict:
+    """Inverse of :func:`arms_to_dict`: constructor keyword arguments."""
+    arms = {name: fleet_metrics_from_dict(data[name]) for name in metrics}
+    arms.update({name: profile_data_from_dict(data[name])
+                 for name in profiles})
+    return arms

@@ -19,7 +19,6 @@ from repro.fleet import (
     arms_separated,
     plan_rounds,
 )
-from repro.serialization import ablation_result_to_dict
 
 # Small but genuinely multi-shard: 6 shards of 4 machines per arm.
 KW = dict(machines=24, epochs=10, warmup_epochs=3, seed=3, shard_size=4)
@@ -167,8 +166,8 @@ class TestDeterminism:
                                   margin=0.001, **KW).run()
         assert first.to_dict() == second.to_dict()
         for mode in first.modes:
-            assert (ablation_result_to_dict(first.results[mode])
-                    == ablation_result_to_dict(second.results[mode]))
+            assert (first.results[mode].to_dict()
+                    == second.results[mode].to_dict())
 
     def test_worker_count_cannot_change_verdicts(self):
         serial = AdaptiveAblation(modes=("off", "control"),
@@ -202,8 +201,7 @@ class TestExhaustiveEquivalence:
             assert outcome.arms[mode].stopped_round is None
             assert outcome.arms[mode].shards_run == 6
             exhaustive = AblationStudy(mode=mode, **KW).run()
-            assert (ablation_result_to_dict(outcome.results[mode])
-                    == ablation_result_to_dict(exhaustive))
+            assert outcome.results[mode].to_dict() == exhaustive.to_dict()
         assert outcome.savings() == 1.0
 
     def test_early_stop_preserves_exhaustive_ranking_with_savings(self):

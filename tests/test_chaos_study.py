@@ -6,9 +6,8 @@ import pytest
 from repro.analysis import ChaosStudy, chaos_default_config, result_digest
 from repro.errors import TraceError
 from repro.faults import ChaosMetrics, FaultPlan
+from repro.fleet import AblationResult
 from repro.serialization import (
-    ablation_result_from_dict,
-    ablation_result_to_dict,
     chaos_metrics_from_dict,
     chaos_metrics_to_dict,
 )
@@ -144,15 +143,15 @@ class TestChaosSerialization:
     def test_ablation_result_roundtrip_with_chaos(self):
         study = small_study("seed=2;telemetry-drop:rate=0.2")
         outcome = study.run()
-        payload = ablation_result_to_dict(outcome.faulted)
+        payload = outcome.faulted.to_dict()
         assert "chaos" in payload
-        restored = ablation_result_from_dict(payload)
+        restored = AblationResult.from_dict(payload)
         assert result_digest(restored) == result_digest(outcome.faulted)
 
     def test_ablation_result_roundtrip_without_chaos(self):
         study = small_study("seed=2;telemetry-drop:rate=0.2")
         outcome = study.run()
-        payload = ablation_result_to_dict(outcome.faulted)
+        payload = outcome.faulted.to_dict()
         del payload["chaos"]
-        restored = ablation_result_from_dict(payload)
+        restored = AblationResult.from_dict(payload)
         assert restored.chaos is None

@@ -1,5 +1,9 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import main
@@ -167,9 +171,9 @@ class TestAdaptiveCommand:
         assert "ranking:" in out
         assert "exhaustive" in out
 
-    def test_adaptive_rejects_bad_arms(self):
-        with pytest.raises(ReproError):
-            main(["ablation", "--adaptive", "--arms", "off"])
+    def test_adaptive_rejects_bad_arms(self, capsys):
+        assert main(["ablation", "--adaptive", "--arms", "off"]) == 2
+        assert "at least two arms" in capsys.readouterr().err
 
 
 class TestScenarioCommands:
@@ -220,3 +224,53 @@ class TestScenarioCommands:
         assert main(["sweep", "--machines", "2", "--scale", "0.25",
                      "--trace", "scenario", "--compare-serial"]) == 0
         assert "serial-equivalence check: OK" in capsys.readouterr().out
+
+
+class TestErrorBoundary:
+    """Invalid input exits 2 with one ``repro: error:`` stderr line."""
+
+    def test_zero_machines_exits_2_without_traceback(self):
+        env = dict(os.environ, PYTHONPATH="src")
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "ablation", "--machines", "0"],
+            capture_output=True, text=True, env=env, check=False)
+        assert done.returncode == 2
+        assert done.stderr.splitlines() == [
+            "repro: error: need at least one machine"]
+
+    def test_callgraph_cycle_exits_2(self, capsys):
+        assert main(["scenario", "callgraph", "--services",
+                     "a:stream:1:8>b*1;b:random:1:8>a*1"]) == 2
+        assert "cycle" in capsys.readouterr().err
+
+    def test_message_is_the_last_stderr_line(self, capsys):
+        assert main(["sweep", "--machines", "2", "--scale", "0"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].startswith("repro: error: ")
+        assert "scale must be positive" in err[-1]
+
+
+class TestCompareSerial:
+    def test_chaos_serial_leg_recomputes_every_shard(self, tmp_path,
+                                                     monkeypatch, capsys):
+        """With the cache and journal exported, the serial leg must still
+        compute every shard, not replay the first leg's stores."""
+        from repro.fleet.ablation import AblationStudy
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        monkeypatch.setenv("REPRO_CHECKPOINT", str(tmp_path / "journal"))
+        calls = []
+        original = AblationStudy._run_single
+
+        def counting(study, tracer=None):
+            calls.append(study.machines)
+            return original(study, tracer)
+
+        monkeypatch.setattr(AblationStudy, "_run_single", counting)
+        assert main(["chaos", "--machines", "4", "--shard-size", "2",
+                     "--epochs", "6", "--warmup", "2", "--workers", "1",
+                     "--fault-plan", "seed=2;telemetry-drop:rate=0.2",
+                     "--compare-serial"]) == 0
+        assert "serial-equivalence check: OK" in capsys.readouterr().out
+        # Faulted study and inert twin, two shards each, in both legs.
+        assert calls == [2] * 8

@@ -101,6 +101,15 @@ class TestValidation:
         with pytest.raises(ConfigError, match="seed"):
             FaultPlan.parse("seed=lots;telemetry-drop:rate=0.1")
 
+    @pytest.mark.parametrize("spec", [
+        "seed=1;seed=2",
+        "seed=1;telemetry-drop:rate=0.1;seed=1",
+    ])
+    def test_repeated_seed_rejected(self, spec):
+        # A second seed used to win silently, re-seeding every fault draw.
+        with pytest.raises(ConfigError, match="seed"):
+            FaultPlan.parse(spec)
+
 
 class TestSeeding:
     def test_fault_seed_is_stable(self):

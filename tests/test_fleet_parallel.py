@@ -5,7 +5,7 @@ to serial results for the same seed."""
 import pytest
 
 from repro.errors import ConfigError
-from repro.fleet import AblationStudy, Fleet, RolloutStudy
+from repro.fleet import PLATFORM_1, PLATFORM_2, AblationStudy, RolloutStudy
 from repro.fleet.ablation import run_ablation_shard
 from repro.fleet.parallel import (
     BATCH_ENV_VAR,
@@ -15,11 +15,7 @@ from repro.fleet.parallel import (
     resolve_workers,
     run_sharded,
 )
-from repro.serialization import (
-    ablation_result_to_dict,
-    fleet_metrics_to_dict,
-    profile_data_to_dict,
-)
+from repro.serialization import fleet_metrics_to_dict, profile_data_to_dict
 
 
 def _square(value):
@@ -139,7 +135,7 @@ class TestRunSharded:
 
 
 def _ablation_dict(study, workers):
-    return ablation_result_to_dict(study.run(workers=workers))
+    return study.run(workers=workers).to_dict()
 
 
 class TestShardedAblation:
@@ -177,15 +173,23 @@ class TestShardedAblation:
         sharded = study.run()
         unsharded = AblationStudy(mode="off", machines=8, epochs=10,
                                   warmup_epochs=3, seed=9)._run_single()
-        assert (ablation_result_to_dict(sharded)
-                == ablation_result_to_dict(unsharded))
+        assert sharded.to_dict() == unsharded.to_dict()
 
-    def test_custom_fleet_factory_still_supported(self):
-        study = AblationStudy(
-            mode="off", machines=6, epochs=8, warmup_epochs=2, seed=3,
-            fleet_factory=lambda seed: Fleet(machines=6, seed=seed))
-        result = study.run()
-        assert result.control.epochs == 8
+    def test_platform_shards_and_keys_only_when_not_default(self):
+        kw = dict(mode="off", machines=6, epochs=8, warmup_epochs=2,
+                  seed=3, shard_size=4)
+        default = AblationStudy(**kw)
+        assert "platform" not in default.cache_key_material()
+        assert (AblationStudy(platform=PLATFORM_1, **kw).cache_key_material()
+                == default.cache_key_material())
+        study = AblationStudy(platform=PLATFORM_2, **kw)
+        assert (study.cache_key_material()["platform"]["name"]
+                == PLATFORM_2.name)
+        assert [spec.platform for spec in study.shard_specs()] == [
+            PLATFORM_2, PLATFORM_2]
+        result = study.run(workers=2)
+        assert result.control.epochs == 16  # two shards of 8 epochs
+        assert result.to_dict() != default.run().to_dict()
 
     def test_shard_size_validation(self):
         with pytest.raises(ConfigError):

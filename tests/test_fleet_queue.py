@@ -32,10 +32,6 @@ from repro.fleet.queue import (
     resolve_abort_after,
     resolve_checkpoint_dir,
 )
-from repro.serialization import (
-    ablation_result_to_dict,
-    rollout_result_to_dict,
-)
 
 
 def double(value):
@@ -240,14 +236,14 @@ class TestAblationKillAndResume:
               shard_size=4)
 
     def test_resumed_result_matches_fresh_run(self, tmp_path, monkeypatch):
-        fresh = ablation_result_to_dict(AblationStudy(**self.KW).run())
+        fresh = AblationStudy(**self.KW).run().to_dict()
         monkeypatch.setenv(ABORT_ENV_VAR, "1")
         with pytest.raises(QueueInterrupted):
             AblationStudy(**self.KW).run(checkpoint_dir=str(tmp_path))
         monkeypatch.delenv(ABORT_ENV_VAR)
         study = AblationStudy(**self.KW)
         resumed = study.run(workers=2, checkpoint_dir=str(tmp_path))
-        assert ablation_result_to_dict(resumed) == fresh
+        assert resumed.to_dict() == fresh
         assert study.queue_stats.restored == 1
 
     def test_different_mode_does_not_hit_other_modes_journal(self, tmp_path):
@@ -261,14 +257,14 @@ class TestRolloutKillAndResume:
     KW = dict(machines=8, epochs=10, warmup_epochs=3, seed=5)
 
     def test_resumed_result_matches_fresh_run(self, tmp_path, monkeypatch):
-        fresh = rollout_result_to_dict(RolloutStudy(**self.KW).run())
+        fresh = RolloutStudy(**self.KW).run().to_dict()
         monkeypatch.setenv(ABORT_ENV_VAR, "1")
         with pytest.raises(QueueInterrupted):
             RolloutStudy(**self.KW).run(checkpoint_dir=str(tmp_path))
         monkeypatch.delenv(ABORT_ENV_VAR)
         study = RolloutStudy(**self.KW)
         resumed = study.run(checkpoint_dir=str(tmp_path))
-        assert rollout_result_to_dict(resumed) == fresh
+        assert resumed.to_dict() == fresh
         assert study.queue_stats.restored == 1
 
 

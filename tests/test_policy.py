@@ -13,14 +13,13 @@ import pytest
 
 from repro.core.config import LimoncelloConfig
 from repro.errors import ConfigError, TelemetryError
-from repro.fleet import AblationStudy
+from repro.fleet import AblationResult, AblationStudy
 from repro.policy import (DEFAULT_PREFETCHERS, FEATURE_NAMES,
                           EpsilonGreedyBanditPolicy, FeatureExtractor,
                           HysteresisPolicy, PolicyController, PolicyMetrics,
                           SingleThresholdPolicy, policy_digest,
                           policy_from_dict, policy_from_spec)
-from repro.serialization import (ablation_result_from_dict,
-                                 ablation_result_to_dict, canonical_json)
+from repro.serialization import canonical_json
 from repro.units import SECOND
 
 
@@ -183,16 +182,16 @@ class TestResultSerialization:
         result = study.run()
         assert result.policy_metrics is not None
         assert result.policy_metrics.samples > 0
-        payload = ablation_result_to_dict(result)
+        payload = result.to_dict()
         text = canonical_json(payload)
-        rebuilt = ablation_result_from_dict(json.loads(text))
-        assert canonical_json(ablation_result_to_dict(rebuilt)) == text
+        rebuilt = AblationResult.from_dict(json.loads(text))
+        assert canonical_json(rebuilt.to_dict()) == text
         assert rebuilt.policy_metrics.samples == result.policy_metrics.samples
 
     def test_policy_free_payload_has_no_policy_metrics(self):
         result = AblationStudy(mode="off", machines=4, epochs=6,
                                warmup_epochs=2, seed=3).run()
-        payload = ablation_result_to_dict(result)
+        payload = result.to_dict()
         assert "policy_metrics" not in payload
 
 

@@ -6,7 +6,6 @@ import pytest
 
 from repro.fleet import AblationStudy, StudyResultCache, study_cache
 from repro.fleet.result_cache import CACHE_ENV_VAR, SCHEMA_VERSION
-from repro.serialization import ablation_result_to_dict
 
 MATERIAL = {"study": "demo", "machines": 4, "seed": 1}
 PAYLOAD = {"answer": 42, "rows": [1.5, 2.5]}
@@ -125,8 +124,7 @@ class TestAblationStudyCaching:
         before = entries[0].read_text()
         second = self._study().run(cache_dir=tmp_path)
         assert entries[0].read_text() == before  # untouched, not rewritten
-        assert (ablation_result_to_dict(first)
-                == ablation_result_to_dict(second))
+        assert first.to_dict() == second.to_dict()
 
     def test_cached_result_reproduces_every_view(self, tmp_path):
         first = self._study().run(cache_dir=tmp_path)
@@ -140,8 +138,7 @@ class TestAblationStudyCaching:
         entry = next(tmp_path.glob("*.json"))
         entry.write_text(entry.read_text()[:50])  # truncated write
         recomputed = self._study().run(cache_dir=tmp_path)
-        assert (ablation_result_to_dict(recomputed)
-                == ablation_result_to_dict(first))
+        assert recomputed.to_dict() == first.to_dict()
         # and the entry was healed for the next reader
         cache = StudyResultCache(tmp_path)
         material = self._study().cache_key_material()
@@ -156,8 +153,7 @@ class TestAblationStudyCaching:
         del payload["control"]  # valid JSON + digest, wrong shape
         cache.store(material, payload)
         recomputed = self._study().run(cache_dir=tmp_path)
-        assert (ablation_result_to_dict(recomputed)
-                == ablation_result_to_dict(first))
+        assert recomputed.to_dict() == first.to_dict()
 
     def test_key_excludes_workers(self):
         """Worker count cannot appear in the key: results are identical

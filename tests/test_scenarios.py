@@ -71,6 +71,16 @@ class TestParseServices:
         with pytest.raises(ConfigError):
             parse_services("a:stream:1:8>b")
 
+    @pytest.mark.parametrize("text", [
+        "a:stream:1:8>b*",
+        "a:stream:1:8>b*two",
+        "a:stream:1:8>b*1+c",
+    ])
+    def test_malformed_call_count_rejected(self, text):
+        # Once a raw ValueError from int(); now the grammar's ConfigError.
+        with pytest.raises(ConfigError, match="child\\*calls"):
+            parse_services(text)
+
     def test_bad_kind_rejected(self):
         with pytest.raises(ConfigError):
             parse_services("a:swizzle:1:8")

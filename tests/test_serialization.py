@@ -177,24 +177,23 @@ class TestStudyResultSerialization:
         assert restored.as_mapping() == result.control_profile.as_mapping()
 
     def test_ablation_result_round_trip(self, result):
-        from repro.serialization import (ablation_result_from_dict,
-                                         ablation_result_to_dict)
-        data = json.loads(json.dumps(ablation_result_to_dict(result)))
-        restored = ablation_result_from_dict(data)
+        from repro.fleet import AblationResult
+        data = json.loads(json.dumps(result.to_dict()))
+        restored = AblationResult.from_dict(data)
         assert restored.mode == result.mode
         assert (restored.bandwidth_reduction()
                 == result.bandwidth_reduction())
         assert (restored.function_cycle_deltas()
                 == result.function_cycle_deltas())
-        assert ablation_result_to_dict(restored) == data
+        assert restored.to_dict() == data
 
     def test_malformed_records_rejected(self):
-        from repro.serialization import (ablation_result_from_dict,
-                                         profile_data_from_dict)
+        from repro.fleet import AblationResult
+        from repro.serialization import profile_data_from_dict
         with pytest.raises(TraceError):
             profile_data_from_dict({"functions": "nope"})
         with pytest.raises(TraceError):
-            ablation_result_from_dict({"mode": "off"})
+            AblationResult.from_dict({"mode": "off"})
 
 
 class TestAtomicWriteText:
@@ -230,16 +229,14 @@ class TestAtomicWriteText:
 
 class TestRolloutResultRoundTrip:
     def test_round_trip_is_lossless(self):
-        from repro.fleet import RolloutStudy
-        from repro.serialization import (rollout_result_from_dict,
-                                         rollout_result_to_dict)
+        from repro.fleet import RolloutResult, RolloutStudy
         result = RolloutStudy(machines=4, epochs=8, warmup_epochs=2,
                               seed=5).run()
-        data = rollout_result_to_dict(result)
-        restored = rollout_result_from_dict(data)
-        assert rollout_result_to_dict(restored) == data
+        data = result.to_dict()
+        restored = RolloutResult.from_dict(data)
+        assert restored.to_dict() == data
 
     def test_malformed_dict_rejected(self):
-        from repro.serialization import rollout_result_from_dict
+        from repro.fleet import RolloutResult
         with pytest.raises((TraceError, KeyError, TypeError)):
-            rollout_result_from_dict({"not": "a rollout result"})
+            RolloutResult.from_dict({"not": "a rollout result"})
