@@ -58,7 +58,9 @@ class ThresholdStudy:
 
         ``workers`` and ``cache_dir`` pass straight through to each
         underlying :meth:`AblationStudy.run` — the sweep's ablations
-        shard, parallelize, and cache like any other fleet study.
+        shard, parallelize, and cache like any other fleet study. They
+        are never traced (``$REPRO_OBS_DIR`` is ignored): one run
+        directory cannot describe every configuration.
         """
         outcomes = []
         for lower, upper in self.configurations:
@@ -72,7 +74,8 @@ class ThresholdStudy:
                 mode=self.mode, machines=self.machines, epochs=self.epochs,
                 warmup_epochs=self.warmup_epochs, seed=self.seed,
                 config=config)
-            result = study.run(workers=workers, cache_dir=cache_dir)
+            result = study.run(workers=workers, cache_dir=cache_dir,
+                               obs_dir="")
             outcomes.append(ThresholdOutcome(
                 label=f"{lower}/{upper}",
                 lower=lower / 100.0,

@@ -29,6 +29,7 @@ fault streams (and therefore the study result) are identical.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
@@ -234,13 +235,15 @@ def _coerce_param(kind: str, name: str,
     except (TypeError, ValueError):
         raise ConfigError(
             f"{kind}: parameter {name!r} must be numeric, got {raw!r}")
+    if math.isnan(value):
+        raise ConfigError(f"{kind}: parameter {name!r} cannot be NaN")
     if name in _RATE_PARAMS and not 0.0 <= value < 1.0:
         raise ConfigError(
             f"{kind}: {name} must be a {_RATE[1]}, got {value}")
     if name in _TIME_PARAMS and name != "offset" and value < 0:
         raise ConfigError(f"{kind}: {name} cannot be negative, got {value}")
     if name in _COUNT_PARAMS:
-        if value < 0 or value != int(value):
+        if not 0 <= value < math.inf or value != int(value):
             raise ConfigError(
                 f"{kind}: {name} must be a non-negative integer, got {raw!r}")
         return float(int(value))

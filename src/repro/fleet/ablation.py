@@ -411,30 +411,6 @@ class AblationStudy:
         :func:`_fleet_task_materials`)."""
         return _fleet_task_materials(self, traced)
 
-    # --- the trace-driven companion ------------------------------------------
-
-    def micro_sweep(self, scale: float = 1.0,
-                    batch_size: Optional[int] = None):
-        """The trace-driven companion sweep to this ablation.
-
-        Builds a :class:`~repro.fleet.sweep.MicroFleetSweep` over the
-        same machine population, seed, shard plan, and (machine-crash)
-        chaos exposure: mode ``control`` maps to the sweep's control arm
-        (prefetchers on), every ablated mode maps to ``off``
-        (prefetchers disabled) — both shapes batch through the lockstep
-        engine. The sweep replays real traces
-        through full hierarchies where the ablation evolves its analytic
-        fleet, so the pair brackets the same experiment from both
-        modelling directions.
-        """
-        from repro.fleet.sweep import MicroFleetSweep
-
-        return MicroFleetSweep(
-            mode="control" if self.mode == "control" else "off",
-            machines=self.machines, seed=self.seed, scale=scale,
-            shard_size=self.shard_size, batch_size=batch_size,
-            fault_plan=self.fault_plan)
-
     # --- execution -----------------------------------------------------------
 
     def _build_fleet(self, tracer) -> Fleet:

@@ -108,49 +108,6 @@ def resolve_batch_size(batch_size: Optional[int] = None) -> int:
     return batch_size
 
 
-#: CLI values for ``--engine``: ``auto`` keeps the layered defaults
-#: (explicit batch size, else ``$REPRO_BATCH``, else the default),
-#: ``batched`` forces the lockstep engine on, ``scalar`` forces it off.
-ENGINE_CHOICES = ("auto", "batched", "scalar")
-
-
-def resolve_engine(engine: Optional[str],
-                   batch_size: Optional[int] = None) -> Optional[int]:
-    """Fold an ``--engine`` choice into the effective batch size.
-
-    Returns the ``batch_size`` to hand to the study/``run_many`` chain:
-
-    * ``auto`` (or ``None``): pass ``batch_size`` through untouched, so
-      the existing precedence (explicit flag, else ``$REPRO_BATCH``,
-      else :data:`DEFAULT_BATCH_SIZE`) applies unchanged.
-    * ``scalar``: returns ``0`` — batching off. A contradictory explicit
-      ``batch_size`` raises a :class:`ConfigError` rather than silently
-      picking a side.
-    * ``batched``: guarantees a positive batch size. An explicit
-      positive ``batch_size`` wins; otherwise ``$REPRO_BATCH`` is
-      consulted, with ``0``/``off`` overridden back to
-      :data:`DEFAULT_BATCH_SIZE` (the flag outranks the environment);
-      an explicit ``batch_size=0`` is contradictory and raises.
-    """
-    if engine is None or engine == "auto":
-        return batch_size
-    if engine == "scalar":
-        if batch_size:
-            raise ConfigError(
-                f"--engine scalar contradicts --batch-size {batch_size}")
-        return 0
-    if engine == "batched":
-        if batch_size is not None:
-            if batch_size == 0:
-                raise ConfigError(
-                    "--engine batched contradicts --batch-size 0")
-            return batch_size
-        resolved = resolve_batch_size(None)
-        return resolved if resolved > 0 else DEFAULT_BATCH_SIZE
-    raise ConfigError(
-        f"engine must be one of {ENGINE_CHOICES}, got {engine!r}")
-
-
 def run_sharded(worker: Callable[[_Spec], _Result],
                 specs: Sequence[_Spec],
                 workers: int = 1) -> List[_Result]:

@@ -23,6 +23,7 @@ determinism across reruns, worker counts, and batch sizes.
 
 from __future__ import annotations
 
+import os
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import LimoncelloConfig
@@ -94,12 +95,24 @@ class PolicyComparison:
             obs_dir: Optional[str] = None,
             checkpoint_dir: Optional[str] = None,
             resume: bool = True) -> Dict:
-        """Run every policy leg and build the report dict."""
+        """Run every policy leg and build the report dict.
+
+        With a run directory (``obs_dir``, else ``$REPRO_OBS_DIR``) each
+        leg writes its own subdirectory, ``<policy>`` and
+        ``<policy>-faulted``, so no leg overwrites another's.
+        """
+        from repro.obs.session import resolve_obs_dir
+
+        root = resolve_obs_dir(obs_dir)
+
+        def leg_dir(leg: str) -> str:
+            return os.path.join(root, leg) if root is not None else ""
+
         entries: Dict[str, Dict] = {}
         for name, spec in self.policies:
             study = self._study(spec, fault_plan=None)
             result = study.run(workers=workers, cache_dir=cache_dir,
-                               obs_dir=obs_dir,
+                               obs_dir=leg_dir(name),
                                checkpoint_dir=checkpoint_dir, resume=resume)
             pm = result.policy_metrics
             if pm is None:
@@ -122,7 +135,7 @@ class PolicyComparison:
             if self.fault_plan is not None:
                 faulted = self._study(spec, fault_plan=self.fault_plan)
                 fresult = faulted.run(workers=workers, cache_dir=cache_dir,
-                                      obs_dir=obs_dir,
+                                      obs_dir=leg_dir(f"{name}-faulted"),
                                       checkpoint_dir=checkpoint_dir,
                                       resume=resume)
                 fpm = fresult.policy_metrics

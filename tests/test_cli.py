@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import json
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import sys
 import pytest
 
 from repro.cli import main
+from repro.cli.main import build_parser
 from repro.cli.commands import _parse_profile, _table
 from repro.errors import ReproError
 from repro.units import SECOND
@@ -121,11 +123,31 @@ class TestCheckpointCommands:
                                   "--resume"]) == 0
         assert "3/3 shards restored, 0 computed" in capsys.readouterr().out
 
-    def test_resume_without_directory_fails_fast(self, monkeypatch):
+    def test_resume_without_directory_fails_fast(self, monkeypatch, capsys):
         from repro.fleet.queue import CHECKPOINT_ENV_VAR
         monkeypatch.delenv(CHECKPOINT_ENV_VAR, raising=False)
-        with pytest.raises(ReproError):
-            main(self.SWEEP + ["--resume"])
+        assert main(self.SWEEP + ["--resume"]) == 2
+        assert capsys.readouterr().out == ""  # nothing ran
+
+    def test_chaos_journals_and_resumes(self, tmp_path, monkeypatch,
+                                        capsys):
+        from repro.fleet.ablation import AblationStudy
+
+        chaos = ["chaos", "--machines", "4", "--shard-size", "2",
+                 "--epochs", "4", "--warmup", "1",
+                 "--fault-plan", "telemetry-drop:rate=0.2",
+                 "--checkpoint-dir", str(tmp_path)]
+        assert main(chaos) == 0
+        first = capsys.readouterr().out
+        computed = []
+        original = AblationStudy._run_single
+        monkeypatch.setattr(
+            AblationStudy, "_run_single",
+            lambda study, tracer=None: computed.append(study) or original(
+                study, tracer))
+        assert main(chaos + ["--resume"]) == 0
+        assert capsys.readouterr().out == first
+        assert computed == []  # every shard of both legs was restored
 
     def test_queue_status_command(self, tmp_path, capsys):
         assert main(self.SWEEP + ["--checkpoint-dir", str(tmp_path)]) == 0
@@ -135,11 +157,11 @@ class TestCheckpointCommands:
         assert "micro-sweep" in out
         assert "shard tasks" in out
 
-    def test_queue_without_directory_fails_fast(self, monkeypatch):
+    def test_queue_without_directory_fails_fast(self, monkeypatch, capsys):
         from repro.fleet.queue import CHECKPOINT_ENV_VAR
         monkeypatch.delenv(CHECKPOINT_ENV_VAR, raising=False)
-        with pytest.raises(ReproError):
-            main(["queue"])
+        assert main(["queue"]) == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestCacheCommand:
@@ -154,11 +176,11 @@ class TestCacheCommand:
                      "--prune", "0"]) == 0
         assert "pruned 1 entry" in capsys.readouterr().out
 
-    def test_cache_without_directory_fails_fast(self, monkeypatch):
+    def test_cache_without_directory_fails_fast(self, monkeypatch, capsys):
         from repro.fleet.result_cache import CACHE_ENV_VAR
         monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
-        with pytest.raises(ReproError):
-            main(["cache"])
+        assert main(["cache"]) == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestAdaptiveCommand:
@@ -206,11 +228,10 @@ class TestScenarioCommands:
                                   "--policy", "hysteresis"]) == 0
         assert "mode=policy" in capsys.readouterr().out
 
-    def test_noisy_policy_needs_policy_mode(self):
-        with pytest.raises(ReproError):
-            main(self.NOISY + ["--policy", "bandit"])
-        with pytest.raises(ReproError):
-            main(self.NOISY + ["--mode", "policy"])
+    def test_noisy_policy_needs_policy_mode(self, capsys):
+        assert main(self.NOISY + ["--policy", "bandit"]) == 2
+        assert main(self.NOISY + ["--mode", "policy"]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_callgraph_checkpoint_disposition(self, tmp_path, capsys):
         assert main(self.CALLGRAPH
@@ -248,6 +269,141 @@ class TestErrorBoundary:
         err = capsys.readouterr().err.splitlines()
         assert err[-1].startswith("repro: error: ")
         assert "scale must be positive" in err[-1]
+
+    NOISY = ["scenario", "noisy", "--machines", "2", "--epochs", "2"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--machines", "2", "--resume"],
+         "--resume needs a checkpoint directory"),
+        (["chaos", "--machines", "2"], "chaos needs a fault plan"),
+        (["queue"], "no checkpoint directory"),
+        (["cache"], "no cache directory"),
+        (["policy", "compare", "--policies", ""],
+         "--policies cannot be empty"),
+        (["policy", "compare", "--policies", "nope"],
+         "unknown policy 'nope'"),
+        (NOISY + ["--policy", "bandit"], "need --mode policy"),
+        (NOISY + ["--mode", "policy"], "--mode policy needs --policy"),
+        (["daemon", "--profile", ""], "empty bandwidth profile"),
+        (["daemon", "--profile", "x"], "profile point 'x'"),
+        (["microbench", "--distances", "abc"],
+         "--distances must be comma-separated integers"),
+        (["latency-curve", "--points", "1"], "--points must be at least 2"),
+    ], ids=["resume-without-journal", "chaos-without-plan",
+            "queue-without-journal", "cache-without-directory",
+            "empty-policies", "unknown-policy", "policy-without-mode",
+            "mode-without-policy", "empty-profile", "bad-profile",
+            "bad-distances", "one-point-curve"])
+    def test_input_error_exits_2(self, argv, message, monkeypatch, capsys):
+        for name in list(os.environ):
+            if name.startswith("REPRO_"):
+                monkeypatch.delenv(name)
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].startswith("repro: error: ")
+        assert message in err[-1]
+
+
+#: The seven study subcommands, which share the six runner flags.
+STUDY_COMMANDS = (["ablation"], ["rollout"], ["sweep"], ["chaos"],
+                  ["policy", "compare"], ["scenario", "callgraph"],
+                  ["scenario", "noisy"])
+
+
+class TestRunFlags:
+    @pytest.mark.parametrize("command", STUDY_COMMANDS, ids="-".join)
+    def test_study_subcommands_take_the_six_run_flags(self, command):
+        args = build_parser().parse_args(command + [
+            "--workers", "3", "--cache-dir", "C", "--checkpoint-dir", "J",
+            "--resume", "--fault-plan", "telemetry-drop:rate=0.1",
+            "--obs-dir", "O"])
+        assert (args.workers, args.cache_dir, args.checkpoint_dir,
+                args.resume, args.fault_plan, args.obs_dir) == (
+            3, "C", "J", True, "telemetry-drop:rate=0.1", "O")
+
+    @pytest.mark.parametrize("command", STUDY_COMMANDS, ids="-".join)
+    def test_engine_flag_is_gone(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(command + ["--engine", "scalar"])
+        assert exit_info.value.code == 2
+        assert "--engine" in capsys.readouterr().err
+
+
+class TestBatchSizeFlag:
+    """``--batch-size`` is the one engine knob: 0 is the scalar engine,
+    N pins lockstep batches of N, unset defers to $REPRO_BATCH, then 32."""
+
+    SWEEP = ["sweep", "--machines", "2", "--scale", "0.1"]
+
+    def engine_line(self, argv, capsys):
+        assert main(self.SWEEP + argv) == 0
+        return next(line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("engine: "))
+
+    @pytest.fixture(autouse=True)
+    def _no_batch_env(self, monkeypatch):
+        monkeypatch.delenv("REPRO_BATCH", raising=False)
+
+    def test_zero_is_the_scalar_engine(self, capsys):
+        assert self.engine_line(["--batch-size", "0"], capsys).startswith(
+            "engine: 0/2 arm-runs batched (0 lockstep groups); 2 scalar")
+
+    def test_size_pins_lockstep_batches(self, capsys):
+        assert self.engine_line(["--batch-size", "1"], capsys) == (
+            "engine: 2/2 arm-runs batched (2 lockstep groups)")
+
+    def test_explicit_size_outranks_env(self, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_BATCH", "0")
+        assert self.engine_line(["--batch-size", "2"], capsys) == (
+            "engine: 2/2 arm-runs batched (1 lockstep groups)")
+
+    def test_unset_defers_to_env_then_default(self, monkeypatch, capsys):
+        assert self.engine_line([], capsys) == (
+            "engine: 2/2 arm-runs batched (1 lockstep groups)")
+        monkeypatch.setenv("REPRO_BATCH", "1")
+        assert self.engine_line([], capsys) == (
+            "engine: 2/2 arm-runs batched (2 lockstep groups)")
+
+
+def _manifest_run(run_dir):
+    return json.loads((run_dir / "manifest.json").read_text())["run"]
+
+
+class TestOneRunDirectoryPerLeg:
+    """No two legs of one command share a run directory."""
+
+    FLEET = ["--machines", "3", "--epochs", "4", "--warmup", "1"]
+
+    def test_policy_compare_writes_one_directory_per_leg(self, tmp_path):
+        assert main(["policy", "compare", "--policies",
+                     "hysteresis,single-threshold", *self.FLEET,
+                     "--fault-plan", "telemetry-drop:rate=0.1",
+                     "--obs-dir", str(tmp_path)]) == 0
+        legs = {"hysteresis", "hysteresis-faulted", "single-threshold",
+                "single-threshold-faulted"}
+        assert {path.name for path in tmp_path.iterdir()} == legs
+        for leg in legs:
+            run = _manifest_run(tmp_path / leg)
+            assert run["material"]["policy"]["kind"] == (
+                leg.removesuffix("-faulted"))
+            assert (run["fault_plan"] is not None) == leg.endswith("-faulted")
+
+    def test_noisy_baseline_twin_is_untraced(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path))
+        assert main(TestScenarioCommands.NOISY + ["--baseline"]) == 0
+        assert _manifest_run(tmp_path)["material"]["mode"] == "hard"
+
+    def test_thresholds_write_no_run_directory(self, tmp_path, monkeypatch):
+        run_dir = tmp_path / "obs"
+        monkeypatch.setenv("REPRO_OBS_DIR", str(run_dir))
+        assert main(["thresholds", *self.FLEET]) == 0
+        assert not run_dir.exists()
+
+    def test_report_writes_no_run_directory(self, tmp_path, monkeypatch):
+        run_dir = tmp_path / "obs"
+        monkeypatch.setenv("REPRO_OBS_DIR", str(run_dir))
+        assert main(["report", "--quick"]) == 0
+        assert not run_dir.exists()
 
 
 class TestCompareSerial:

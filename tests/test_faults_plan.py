@@ -110,6 +110,18 @@ class TestValidation:
         with pytest.raises(ConfigError, match="seed"):
             FaultPlan.parse(spec)
 
+    @pytest.mark.parametrize("spec", [
+        "msr-permanent:after=inf",  # was a raw OverflowError
+        "msr-permanent:after=nan",  # was a raw ValueError
+        "machine-crash:rate=0.1,outage=nan",
+        "telemetry-blackout:start=nan,duration=1",  # was accepted
+        "telemetry-skew:offset=nan",
+        "telemetry-drop:rate=nan",
+    ])
+    def test_non_finite_counts_and_nan_rejected(self, spec):
+        with pytest.raises(ConfigError):
+            FaultPlan.parse(spec)
+
 
 class TestSeeding:
     def test_fault_seed_is_stable(self):

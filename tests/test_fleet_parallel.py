@@ -8,10 +8,7 @@ from repro.errors import ConfigError
 from repro.fleet import PLATFORM_1, PLATFORM_2, AblationStudy, RolloutStudy
 from repro.fleet.ablation import run_ablation_shard
 from repro.fleet.parallel import (
-    BATCH_ENV_VAR,
-    DEFAULT_BATCH_SIZE,
     WORKERS_ENV_VAR,
-    resolve_engine,
     resolve_workers,
     run_sharded,
 )
@@ -67,53 +64,6 @@ class TestResolveWorkers:
         monkeypatch.setenv(WORKERS_ENV_VAR, "zero")
         with pytest.raises(ValueError):
             resolve_workers(None)
-
-
-class TestResolveEngine:
-    """Precedence of --engine over --batch-size and $REPRO_BATCH."""
-
-    def test_auto_and_none_pass_through(self, monkeypatch):
-        monkeypatch.delenv(BATCH_ENV_VAR, raising=False)
-        assert resolve_engine(None, None) is None
-        assert resolve_engine("auto", None) is None
-        assert resolve_engine("auto", 7) == 7
-        assert resolve_engine(None, 0) == 0
-
-    def test_scalar_forces_batching_off(self):
-        assert resolve_engine("scalar", None) == 0
-        assert resolve_engine("scalar", 0) == 0
-
-    def test_scalar_contradicts_positive_batch(self):
-        with pytest.raises(ConfigError, match="scalar"):
-            resolve_engine("scalar", 5)
-
-    def test_batched_explicit_batch_wins(self, monkeypatch):
-        monkeypatch.setenv(BATCH_ENV_VAR, "3")
-        assert resolve_engine("batched", 9) == 9
-
-    def test_batched_contradicts_zero_batch(self):
-        with pytest.raises(ConfigError, match="batched"):
-            resolve_engine("batched", 0)
-
-    def test_batched_defers_to_env(self, monkeypatch):
-        monkeypatch.setenv(BATCH_ENV_VAR, "11")
-        assert resolve_engine("batched", None) == 11
-
-    def test_batched_overrides_env_off(self, monkeypatch):
-        # The flag outranks the environment: --engine batched under
-        # REPRO_BATCH=0 still batches, at the default size.
-        monkeypatch.setenv(BATCH_ENV_VAR, "0")
-        assert resolve_engine("batched", None) == DEFAULT_BATCH_SIZE
-        monkeypatch.setenv(BATCH_ENV_VAR, "off")
-        assert resolve_engine("batched", None) == DEFAULT_BATCH_SIZE
-
-    def test_batched_default_when_env_unset(self, monkeypatch):
-        monkeypatch.delenv(BATCH_ENV_VAR, raising=False)
-        assert resolve_engine("batched", None) == DEFAULT_BATCH_SIZE
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ConfigError, match="engine"):
-            resolve_engine("vectorized", None)
 
 
 class TestRunSharded:

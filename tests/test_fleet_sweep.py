@@ -19,9 +19,7 @@ from repro.fleet import (
     resolve_batch_size,
     sweep_digest,
 )
-from repro.fleet.ablation import AblationStudy
 from repro.fleet.parallel import BATCH_ENV_VAR
-from repro.fleet.rollout import RolloutStudy
 from repro.fleet.sweep import background_load, crashed
 
 SCALE = 0.05  # tiny shared traces keep each sweep run fast
@@ -163,25 +161,6 @@ class TestResultObject:
             MicroFleetSweep(scale=0.0)
         with pytest.raises(ConfigError):
             MicroFleetSweep(crash_rate=1.0)
-
-
-class TestStudyBridges:
-    def test_ablation_bridge(self):
-        study = AblationStudy(mode="off", machines=6, epochs=4, warmup_epochs=1)
-        sweep = study.micro_sweep(scale=SCALE, batch_size=5)
-        assert isinstance(sweep, MicroFleetSweep)
-        assert sweep.machines == 6
-        assert sweep.seed == study.seed
-        assert sweep.batch_size == 5
-        assert sweep.mode == "off"
-
-    def test_rollout_bridge(self):
-        study = RolloutStudy(machines=6, epochs=4, warmup_epochs=1)
-        stages = study.micro_sweep_stages(scale=SCALE)
-        assert set(stages) == {"before", "after"}
-        assert stages["before"].mode == "control"
-        assert stages["after"].mode == "off"
-        assert stages["before"].machines == 6
 
 
 class TestBatchPlumbing:
