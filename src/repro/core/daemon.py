@@ -32,6 +32,7 @@ from repro.core.actuator import PrefetcherActuator
 from repro.core.config import LimoncelloConfig, RetryPolicy
 from repro.core.controller import ControllerState, HardLimoncelloController
 from repro.errors import TelemetryError
+from repro.summation import left_sum
 from repro.telemetry.sampler import BandwidthSampler
 from repro.telemetry.timeseries import TimeSeries
 
@@ -130,7 +131,7 @@ class DaemonReport:
         recovered = [i.recovery_ns for i in self.incidents if i.resolved]
         if not recovered:
             return None
-        return sum(recovered) / len(recovered)
+        return left_sum(recovered) / len(recovered)
 
 
 class LimoncelloDaemon:

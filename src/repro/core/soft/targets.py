@@ -14,6 +14,7 @@ from typing import Dict, List, Mapping
 
 from repro.errors import ConfigError
 from repro.memsys.stats import FunctionStats
+from repro.summation import left_sum
 from repro.workloads.base import (
     FunctionCategory,
     TAX_CATEGORIES,
@@ -67,7 +68,7 @@ def identify_targets(control: Mapping[str, FunctionStats],
     """
     if not control:
         raise ConfigError("control profile is empty")
-    total_cycles = sum(stats.cycles for stats in control.values())
+    total_cycles = left_sum(stats.cycles for stats in control.values())
     if total_cycles <= 0:
         raise ConfigError("control profile has no cycles")
 

@@ -50,6 +50,7 @@ from repro.fleet.ablation import (
 )
 from repro.fleet.parallel import resolve_workers
 from repro.fleet.shard import plan_rounds
+from repro.summation import left_sum
 
 #: Two-sided 95% normal quantile — the fixed confidence level for arm
 #: intervals (configurability here would just be another way to p-hack
@@ -86,10 +87,10 @@ def arm_interval(values: Sequence[float],
     n = len(values)
     if n == 0:
         return 0.0, math.inf
-    mean = sum(values) / n
+    mean = left_sum(values) / n
     if n < 2:
         return mean, math.inf
-    variance = sum((v - mean) ** 2 for v in values) / (n - 1)
+    variance = left_sum((v - mean) ** 2 for v in values) / (n - 1)
     return mean, z * math.sqrt(variance / n)
 
 

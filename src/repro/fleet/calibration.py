@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable
 
 from repro.errors import ConfigError
+from repro.summation import left_sum
 from repro.workloads.base import FunctionCategory, TAX_CATEGORIES
 
 
@@ -119,13 +120,13 @@ class ResponseTable:
     def weighted_penalty(self, shares: Dict[str, float],
                          soft_deployed: bool) -> float:
         """Cycle-share-weighted prefetchers-off penalty for a share mix."""
-        return sum(share * self[name].effective_penalty(soft_deployed)
-                   for name, share in shares.items())
+        return left_sum(share * self[name].effective_penalty(soft_deployed)
+                        for name, share in shares.items())
 
     def weighted_overfetch(self, shares: Dict[str, float]) -> float:
         """Cycle-share-weighted hardware-prefetch traffic overhead."""
-        return sum(share * self[name].overfetch
-                   for name, share in shares.items())
+        return left_sum(share * self[name].overfetch
+                        for name, share in shares.items())
 
 
 _C = FunctionCategory

@@ -16,6 +16,7 @@ from repro.fleet.scheduler import BandwidthAwareScheduler
 from repro.fleet.task import TaskTemplate, sample_task
 from repro.fleet.traffic import DiurnalTraffic
 from repro.fleet.calibration import DEFAULT_RESPONSES, ResponseTable
+from repro.summation import left_sum
 from repro.telemetry.percentile import PercentileSummary
 from repro.units import SECOND
 
@@ -95,10 +96,10 @@ class FleetMetrics:
         y-axis ingredients of Figure 16 (bands labelled by midpoints)."""
         out: Dict[str, float] = {}
         for low, high in bands:
-            achieved = sum(q for c, _, q, _ in self.machine_points
-                           if low <= c < high)
-            ideal = sum(i for c, _, _, i in self.machine_points
-                        if low <= c < high)
+            achieved = left_sum(q for c, _, q, _ in self.machine_points
+                                if low <= c < high)
+            ideal = left_sum(i for c, _, _, i in self.machine_points
+                             if low <= c < high)
             label = f"{round((low + high) / 2 * 100)}%"
             out[label] = achieved / ideal if ideal else 0.0
         return out
@@ -124,7 +125,7 @@ class FleetMetrics:
         """Mean machine CPU utilization over the run."""
         if not self.machine_points:
             return 0.0
-        return (sum(c for c, _, _, _ in self.machine_points)
+        return (left_sum(c for c, _, _, _ in self.machine_points)
                 / len(self.machine_points))
 
 
@@ -204,7 +205,7 @@ class Fleet:
         """
         if not mix:
             return [default] * count
-        total = sum(mix.values())
+        total = left_sum(mix.values())
         if total <= 0:
             raise ConfigError("platform mix weights must be positive")
         assigned: List[PlatformSpec] = []
@@ -273,7 +274,7 @@ class Fleet:
     @property
     def cores_used(self) -> float:
         """Cores occupied by placed tasks."""
-        return sum(machine.cores_used for machine in self.machines)
+        return left_sum(machine.cores_used for machine in self.machines)
 
     # --- simulation --------------------------------------------------------------------
 
@@ -349,10 +350,10 @@ class Fleet:
             metrics.socket_latency.append(epoch.latency_ns)
             bw_utils.append(epoch.utilization)
             qps += epoch.qps
-        ideal = sum(task.base_qps for task in machine.tasks) * duration_s
+        ideal = left_sum(task.base_qps for task in machine.tasks) * duration_s
         metrics.machine_points.append((
             machine.cpu_utilization,
-            sum(bw_utils) / len(bw_utils) if bw_utils else 0.0,
+            left_sum(bw_utils) / len(bw_utils) if bw_utils else 0.0,
             qps,
             ideal,
         ))

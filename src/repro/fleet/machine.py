@@ -15,6 +15,7 @@ from repro.errors import ConfigError
 from repro.fleet.platform import PlatformSpec
 from repro.fleet.socket import SimulatedSocket, SocketEpoch
 from repro.fleet.task import Task
+from repro.summation import left_sum
 from repro.telemetry.sampler import PerfBandwidthSampler
 from repro.units import SECOND
 
@@ -133,7 +134,7 @@ class Machine:
     @property
     def cores_used(self) -> float:
         """Cores occupied by placed tasks."""
-        return sum(socket.cores_used for socket in self.sockets)
+        return left_sum(socket.cores_used for socket in self.sockets)
 
     @property
     def cpu_utilization(self) -> float:

@@ -37,6 +37,7 @@ from repro.serialization import (
     chaos_metrics_from_dict,
     chaos_metrics_to_dict,
 )
+from repro.summation import left_sum
 from repro.workloads.base import FunctionCategory, TAX_CATEGORIES
 
 
@@ -177,7 +178,7 @@ class RolloutResult:
                 for category in FunctionCategory
                 if category in TAX_CATEGORIES
             }
-            out[arm]["all targeted DC tax"] = sum(out[arm].values())
+            out[arm]["all targeted DC tax"] = left_sum(out[arm].values())
         return out
 
 

@@ -50,19 +50,26 @@ class BandwidthAwareScheduler:
         Returns the chosen socket, or None when no socket can admit the
         task (stranded demand — idle cores the fleet cannot sell).
         """
+        # Every socket aggregate read here is cached on the socket, so
+        # admission costs O(1) per socket rather than a pass over its
+        # tasks.
+        aware = self.prefetch_aware
+        cores = task.cores
+        estimate_on = task.estimated_bandwidth(True)
+        estimate_off = task.estimated_bandwidth(False)
+        headroom = self.bandwidth_headroom
         best: Optional[Tuple[float, SimulatedSocket]] = None
         for machine in machines:
             for socket in machine.sockets:
-                if socket.cores_free < task.cores:
+                if socket.cores_free < cores:
                     continue
-                hw_view = (socket.hw_prefetchers_on if self.prefetch_aware
-                           else True)
-                projected = (socket.estimated_bandwidth(self.prefetch_aware)
-                             + task.estimated_bandwidth(hw_view))
-                limit = self.bandwidth_headroom * socket.saturation_bandwidth
-                if projected > limit:
+                hw_view = socket.hw_prefetchers_on if aware else True
+                projected = (socket.estimated_bandwidth(aware)
+                             + (estimate_on if hw_view else estimate_off))
+                saturation = socket.saturation_bandwidth
+                if projected > headroom * saturation:
                     continue
-                score = projected / socket.saturation_bandwidth
+                score = projected / saturation
                 if best is None or score < best[0]:
                     best = (score, socket)
         if best is None:

@@ -13,7 +13,7 @@ Limoncello daemon actuates the socket exactly as it would real hardware.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.errors import ConfigError
 from repro.fleet.platform import PlatformSpec
@@ -22,6 +22,7 @@ from repro.memsys.config import DRAMConfig
 from repro.memsys.dram import DRAMModel
 from repro.msr.platform_defs import msr_map_for_vendor
 from repro.msr.registers import MSRFile
+from repro.summation import left_sum
 from repro.units import SECOND
 
 
@@ -83,6 +84,12 @@ class SimulatedSocket:
                 "DRAM config saturation must match the platform's")
         self._dram = DRAMModel(dram_config)
         self._unloaded_latency = dram_config.unloaded_latency_ns
+        self._saturation_threshold = (dram_config.max_utilization
+                                      * platform.saturation_bandwidth)
+        #: Admission aggregates over ``tasks``, recomputed on first read
+        #: after ``add_task``/``remove_task`` invalidates them.
+        self._cores_used: Optional[float] = None
+        self._estimates: Dict[bool, float] = {}
         self.history: List[SocketEpoch] = []
         self._last_bandwidth = 0.0
         self._last_utilization = 0.0
@@ -116,8 +123,7 @@ class SimulatedSocket:
         (and every utilization this simulator reports) are expressed
         relative to this value, as in the paper.
         """
-        return (self._dram.config.max_utilization
-                * self.platform.saturation_bandwidth)
+        return self._saturation_threshold
 
     @property
     def raw_capacity(self) -> float:
@@ -138,7 +144,9 @@ class SimulatedSocket:
     @property
     def cores_used(self) -> float:
         """Cores occupied by placed tasks."""
-        return sum(task.cores for task in self.tasks)
+        if self._cores_used is None:
+            self._cores_used = left_sum(task.cores for task in self.tasks)
+        return self._cores_used
 
     @property
     def cores_free(self) -> float:
@@ -156,7 +164,11 @@ class SimulatedSocket:
         pre-Limoncello scheduler (ablation studies) estimates as if
         prefetchers were always on."""
         hw_on = self.hw_prefetchers_on if prefetch_aware else True
-        return sum(task.estimated_bandwidth(hw_on) for task in self.tasks)
+        estimate = self._estimates.get(hw_on)
+        if estimate is None:
+            estimate = self._estimates[hw_on] = left_sum(
+                task.estimated_bandwidth(hw_on) for task in self.tasks)
+        return estimate
 
     def add_task(self, task: Task) -> None:
         """Place a task on this socket (validates core capacity)."""
@@ -165,10 +177,16 @@ class SimulatedSocket:
                 f"socket has {self.cores_free:.1f} free cores; task "
                 f"{task.name} needs {task.cores:.1f}")
         self.tasks.append(task)
+        self._invalidate_aggregates()
 
     def remove_task(self, task: Task) -> None:
         """Remove a placed task."""
         self.tasks.remove(task)
+        self._invalidate_aggregates()
+
+    def _invalidate_aggregates(self) -> None:
+        self._cores_used = None
+        self._estimates.clear()
 
     # --- the epoch fixed point --------------------------------------------------------
 
@@ -185,26 +203,58 @@ class SimulatedSocket:
         the minute-scale swings of Figure 7).
         """
         hw_on = self.hw_prefetchers_on
-        load = self._last_utilization  # fraction of raw capacity
+        soft = self.soft_deployed
+        # Each task's per-epoch constants, hoisted out of the fixed
+        # point: memory-boundedness, the prefetchers-off penalty,
+        # demand * noise, the prefetch overfetch factor and base QPS.
+        # The penalty is 0.0 with prefetchers on and the overfetch
+        # factor 1.0 with them off; adding 0.0 and multiplying by 1.0
+        # are exact, so one formula reproduces Task.speed and
+        # Task.offered_bandwidth bit for bit in both states.
+        rows = [(task.memory_boundedness,
+                 0.0 if hw_on else task.penalty_off(soft),
+                 task.bandwidth_demand * task.noise,
+                 1.0 + task.overfetch if hw_on else 1.0,
+                 task.base_qps)
+                for task in self.tasks]
+        dram = self._dram.config
+        unloaded = self._unloaded_latency
+        max_utilization = dram.max_utilization
+        queue_gain = dram.queue_gain
+        queue_exponent = dram.queue_exponent
+        overload_gain = dram.overload_gain
         capacity = self.platform.saturation_bandwidth
-        bandwidth = 0.0
+        damping = self.DAMPING
+        load = self._last_utilization  # fraction of raw capacity
+        # The damped fixed point, flat: DRAMModel.latency_at_utilization
+        # and Task.speed/offered_bandwidth inlined in their own float
+        # operation order, the bandwidth summed left to right from 0.
         for _ in range(self.ITERATIONS):
-            latency_ratio = (self.latency_at(load)
-                             / self._unloaded_latency)
-            bandwidth = demand_factor * sum(
-                task.offered_bandwidth(
-                    task.speed(latency_ratio, hw_on, self.soft_deployed),
-                    hw_on)
-                for task in self.tasks)
-            load += self.DAMPING * (bandwidth / capacity - load)
+            u = 0.0 if 0.0 > load else load
+            clamped = max_utilization if max_utilization < u else u
+            latency = unloaded * (1.0 + queue_gain
+                                  * (clamped ** queue_exponent)
+                                  / (1.0 - clamped))
+            if u > max_utilization:
+                latency *= 1.0 + overload_gain * (u - max_utilization)
+            excess = latency / unloaded - 1.0
+            offered = 0.0
+            for boundedness, penalty, demand, overfetch, _ in rows:
+                slowdown = 1.0 + boundedness * excess + penalty
+                offered += (demand * (1.0 / (1e-6 if 1e-6 > slowdown
+                                             else slowdown))
+                            * overfetch)
+            load += damping * (demand_factor * offered / capacity - load)
         bandwidth = load * capacity
 
         latency_ns = self.latency_at(load)
-        latency_ratio = latency_ns / self._unloaded_latency
-        qps = sum(
-            task.base_qps
-            * task.speed(latency_ratio, hw_on, self.soft_deployed)
-            for task in self.tasks) * (duration_ns / SECOND)
+        excess = latency_ns / unloaded - 1.0
+        qps = 0.0
+        for boundedness, penalty, _, _, base_qps in rows:
+            slowdown = 1.0 + boundedness * excess + penalty
+            qps += base_qps * (1.0 / (1e-6 if 1e-6 > slowdown
+                                      else slowdown))
+        qps *= duration_ns / SECOND
         if self._last_hw_state is not None and hw_on != self._last_hw_state:
             self.toggles += 1
             qps *= 1.0 - self.TOGGLE_PENALTY

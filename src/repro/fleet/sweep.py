@@ -42,6 +42,7 @@ from repro.errors import ConfigError
 from repro.faults.plan import FaultPlan, fault_rng
 from repro.fleet.shard import DEFAULT_SHARD_SIZE, ShardPlan, plan_shards
 from repro.serialization import canonical_json
+from repro.summation import left_sum
 
 #: Sweep arm configurations: ``off`` ablates every hardware prefetcher;
 #: ``control`` leaves the default aggressive bank enabled (the paired
@@ -139,7 +140,8 @@ class MicroSweepResult:
 
     def total(self, field_name: str) -> float:
         """Sum of one numeric per-arm field over the live arms."""
-        return sum(arm[field_name] for arm in self.arms if not arm["down"])
+        return left_sum(arm[field_name] for arm in self.arms
+                        if not arm["down"])
 
     def mean_elapsed_ns(self) -> float:
         """Mean simulated duration across live arms (0 if all down)."""

@@ -17,6 +17,7 @@ from typing import Dict, Optional
 
 from repro.errors import ConfigError
 from repro.fleet.calibration import DEFAULT_RESPONSES, ResponseTable
+from repro.summation import left_sum
 
 _task_ids = itertools.count()
 
@@ -59,7 +60,7 @@ class Task:
             raise ConfigError(f"task {self.name}: empty function shares")
         if self.noise_sigma < 0:
             raise ConfigError(f"task {self.name}: negative noise sigma")
-        total = sum(self.function_shares.values())
+        total = left_sum(self.function_shares.values())
         if total <= 0:
             raise ConfigError(f"task {self.name}: non-positive share total")
         self.function_shares = {
@@ -96,6 +97,8 @@ class Task:
         """Throughput relative to an unloaded socket (1.0 = full speed).
 
         ``latency_ratio`` is loaded/unloaded DRAM latency (>= 1).
+        :meth:`SimulatedSocket.step` inlines this and
+        :meth:`offered_bandwidth` in the same float operation order.
         """
         slowdown = 1.0 + self.memory_boundedness * (latency_ratio - 1.0)
         if not hw_prefetchers_on:

@@ -22,6 +22,7 @@ from repro.errors import ConfigError
 from repro.memsys.config import HierarchyConfig
 from repro.memsys.hierarchy import MemoryHierarchy
 from repro.memsys.prefetchers.bank import PrefetcherBank, default_prefetcher_bank
+from repro.summation import left_sum
 from repro.units import KB
 from repro.workloads.tax import memcpy_call_trace
 
@@ -143,7 +144,7 @@ class MemcpyMicrobenchmark:
         speedups = self.speedup(descriptor)
         if not speedups:
             return 0.0
-        return sum(speedups.values()) / len(speedups)
+        return left_sum(speedups.values()) / len(speedups)
 
     # --- Figure 15c: the four prefetcher states --------------------------------------
 
@@ -164,7 +165,7 @@ class MemcpyMicrobenchmark:
             # prefetcher states replay this instance's cached columns.
             bench._trace_cache = self._trace_cache
             result = bench.run(sw)
-            return sum(result.elapsed_by_size.values())
+            return left_sum(result.elapsed_by_size.values())
 
         reference = mean_elapsed(True, None)
         return {

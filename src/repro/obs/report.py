@@ -17,6 +17,7 @@ from typing import Dict, List, Tuple, Union
 
 from repro.obs.events import read_events_jsonl
 from repro.obs.session import EVENTS_NAME, read_manifest
+from repro.summation import left_sum
 from repro.units import SECOND
 
 _PathLike = Union[str, pathlib.Path]
@@ -90,8 +91,8 @@ def _incident_stats(events: List[Dict]) -> Dict:
         "count": total,
         "by_kind": dict(sorted(opened.items())),
         "resolved": resolved,
-        "mttr_ns": (sum(recovery) / len(recovery)) if recovery else None,
-        "mean_detection_ns": (sum(detection) / len(detection))
+        "mttr_ns": (left_sum(recovery) / len(recovery)) if recovery else None,
+        "mean_detection_ns": (left_sum(detection) / len(detection))
         if detection else None,
     }
 

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Iterator, Sequence, Tuple
 
 from repro.memsys.stats import FunctionStats
+from repro.summation import left_sum
 from repro.workloads.base import FunctionCategory, category_of_function
 
 
@@ -41,6 +42,31 @@ class ProfileData:
         stats.stall_cycles += max(cycles - instructions, 0.0)
         stats.llc_misses += int(round(llc_misses))
 
+    def record_task(self, rows: Sequence[Tuple[str, float, float, float]],
+                    task_cycles: float, weight_total: float) -> None:
+        """Fold one sampled task in, one ``(function, share, slowdown,
+        mpki)`` row per function.
+
+        Each function gets ``task_cycles * share * slowdown /
+        weight_total`` cycles and ``cycles / slowdown`` instructions,
+        then exactly what :meth:`record` does with them and
+        ``mpki * instructions / 1000`` misses (same rounding and stall
+        clamp), without a method call per function.
+        """
+        functions = self._functions
+        for function, share, slowdown, mpki in rows:
+            cycles = task_cycles * share * slowdown / weight_total
+            instructions = cycles / slowdown
+            stats = functions.get(function)
+            if stats is None:
+                stats = functions[function] = FunctionStats()
+            whole_instructions = round(instructions)
+            stats.instructions += whole_instructions
+            stats.compute_cycles += whole_instructions
+            stall = cycles - instructions
+            stats.stall_cycles += 0.0 if 0.0 > stall else stall
+            stats.llc_misses += round(mpki * instructions / 1000.0)
+
     def merge(self, other: "ProfileData") -> "ProfileData":
         """Fold another aggregate into this one.
 
@@ -76,7 +102,7 @@ class ProfileData:
 
     def total_cycles(self) -> float:
         """Total cycles across all profiled functions."""
-        return sum(stats.cycles for stats in self._functions.values())
+        return left_sum(stats.cycles for stats in self._functions.values())
 
     def cycle_share(self, function: str) -> float:
         """One function's share of total profiled cycles."""

@@ -43,6 +43,16 @@ class FleetProfiler:
                 f"sample rate must be in (0, 1], got {sample_rate}")
         self.sample_rate = sample_rate
         self.responses = responses
+        #: Per-function ``(penalty, mpki)`` for each ``(hw_on, soft)``
+        #: state, read once from ``responses``. The penalty is 0.0 with
+        #: prefetchers on (adding it is then exact).
+        self._rows = {
+            (hw_on, soft): {
+                response.name: (
+                    0.0 if hw_on else response.effective_penalty(soft),
+                    response.mpki(hw_on, soft))
+                for response in responses}
+            for hw_on in (True, False) for soft in (True, False)}
         self.data = ProfileData()
         self._rng = rng or random.Random(0x9F1E7)
 
@@ -68,31 +78,27 @@ class FleetProfiler:
 
     def _sample_task(self, task, latency_ratio: float, hw_on: bool,
                      soft: bool) -> None:
+        rows = self._rows[hw_on, soft]
         base_slowdown = 1.0 + task.memory_boundedness * (latency_ratio - 1.0)
         # Per-function slowdowns first: a function that regresses takes a
         # larger share of the task's (fixed) CPU time, which is exactly
         # what moves the Figure 12/20 cycle-share bars.
-        slowdowns = {}
+        picked = []
+        weight_total = 0.0
         for function, share in task.function_shares.items():
             if share <= 0.0:
                 continue
-            slowdown = base_slowdown
-            if not hw_on:
-                slowdown += self.responses[function].effective_penalty(soft)
-            slowdowns[function] = max(slowdown, 1e-6)
-        weight_total = sum(task.function_shares[fn] * s
-                           for fn, s in slowdowns.items())
+            try:
+                penalty, mpki = rows[function]
+            except KeyError:
+                raise ConfigError(
+                    f"no response entry for {function!r}") from None
+            slowdown = base_slowdown + penalty
+            if 1e-6 > slowdown:
+                slowdown = 1e-6
+            picked.append((function, share, slowdown, mpki))
+            weight_total += share * slowdown
         if weight_total <= 0.0:
             return
-        task_cycles = task.cores * _CYCLES_PER_CORE_SAMPLE
-        for function, slowdown in slowdowns.items():
-            share = task.function_shares[function]
-            cycles = task_cycles * share * slowdown / weight_total
-            instructions = cycles / slowdown
-            mpki = self.responses[function].mpki(hw_on, soft)
-            self.data.record(
-                function=function,
-                instructions=instructions,
-                cycles=cycles,
-                llc_misses=mpki * instructions / 1000.0,
-            )
+        self.data.record_task(
+            picked, task.cores * _CYCLES_PER_CORE_SAMPLE, weight_total)

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from typing import Dict, Sequence
 
 from repro.errors import TelemetryError
+from repro.summation import left_sum
 
 
 def format_relative_change(change: float, precision: int = 1) -> str:
@@ -73,7 +74,7 @@ class PercentileSummary:
             raise TelemetryError("cannot summarize zero observations")
         return cls(
             count=len(values),
-            mean=sum(values) / len(values),
+            mean=left_sum(values) / len(values),
             p50=percentile(values, 50.0),
             p90=percentile(values, 90.0),
             p99=percentile(values, 99.0),

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import TelemetryError
+from repro.summation import left_sum
 
 
 @dataclass(frozen=True)
@@ -81,7 +82,7 @@ class TimeSeries:
         """Arithmetic mean of the values."""
         if not self._values:
             raise TelemetryError(f"time series {self.name!r} is empty")
-        return sum(self._values) / len(self._values)
+        return left_sum(self._values) / len(self._values)
 
     def maximum(self) -> float:
         """Largest value."""

@@ -18,6 +18,7 @@ from typing import Dict, Tuple
 from repro.access import AddressSpace, Trace
 from repro.access.trace import interleave
 from repro.errors import ConfigError
+from repro.summation import left_sum
 from repro.workloads.functions import FUNCTION_ROSTER
 
 
@@ -51,13 +52,13 @@ class ApplicationModel:
     @property
     def weights(self) -> Dict[str, float]:
         """Normalized function weights (sum to 1)."""
-        total = sum(weight for _, weight in self.mix)
+        total = left_sum(weight for _, weight in self.mix)
         return {function: weight / total for function, weight in self.mix}
 
     def tax_fraction(self) -> float:
         """Share of the mix attributable to data center tax functions."""
         from repro.workloads.base import TAX_CATEGORIES
-        return sum(
+        return left_sum(
             weight for function, weight in self.weights.items()
             if FUNCTION_ROSTER[function].category in TAX_CATEGORIES)
 

@@ -15,6 +15,7 @@ from typing import Dict, Optional
 from repro.access import AddressSpace, Trace
 from repro.access.trace import interleave
 from repro.errors import ConfigError
+from repro.summation import left_sum
 from repro.workloads.functions import FUNCTION_ROSTER
 
 
@@ -37,7 +38,7 @@ def fleet_mix_trace(rng: random.Random, space: AddressSpace,
         weights = {name: profile.cycle_share
                    for name, profile in FUNCTION_ROSTER.items()}
     traces = []
-    total = sum(weights.values())
+    total = left_sum(weights.values())
     if total <= 0:
         raise ConfigError("weights must have positive total")
     for name, weight in weights.items():

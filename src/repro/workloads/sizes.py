@@ -15,6 +15,8 @@ import random
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
+from repro.summation import left_sum
+
 
 @dataclass(frozen=True)
 class _Component:
@@ -51,7 +53,7 @@ class MemcpySizeDistribution:
             raise ValueError(f"scale must be positive, got {scale}")
         if min_bytes < 1 or max_bytes < min_bytes:
             raise ValueError("need 1 <= min_bytes <= max_bytes")
-        total_weight = sum(c.weight for c in components)
+        total_weight = left_sum(c.weight for c in components)
         if not components or total_weight <= 0:
             raise ValueError("components must have positive total weight")
         self._components = tuple(components)
