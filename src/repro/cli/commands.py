@@ -75,20 +75,14 @@ def _print_engine_occupancy(result) -> None:
     Silent on results restored from a cache or checkpoint payload (no
     engine ran, so there is nothing to report).
     """
+    from repro.memsys.batched import describe_occupancy
+
     occupancy = getattr(result, "occupancy", None)
     if occupancy is None:
         return
-    stats = occupancy.to_dict()
-    total = stats["batched_arms"] + stats["scalar_arms"]
-    if total == 0:
-        return
-    line = (f"engine: {stats['batched_arms']}/{total} arm-runs batched "
-            f"({stats['groups']} lockstep groups)")
-    if stats["scalar_arms"]:
-        reasons = ", ".join(f"{reason}={count}" for reason, count
-                            in stats["fallback_reasons"].items())
-        line += f"; {stats['scalar_arms']} scalar: {reasons}"
-    print(line)
+    line = describe_occupancy(occupancy.to_dict())
+    if line is not None:
+        print(f"engine: {line}")
 
 
 def _resolve_fault_plan(args):

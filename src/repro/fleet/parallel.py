@@ -108,6 +108,19 @@ def resolve_batch_size(batch_size: Optional[int] = None) -> int:
     return batch_size
 
 
+def batch_size_explicit(batch_size: Optional[int] = None) -> bool:
+    """Whether the lockstep batch size was chosen rather than defaulted:
+    an explicit argument, or a non-empty ``$REPRO_BATCH``.
+
+    :func:`~repro.memsys.hierarchy.run_many` sends a group to lockstep by
+    its cost model only when the size is defaulted; a chosen size
+    forces lockstep at any group size, which is what keeps the CI
+    ``REPRO_BATCH=1`` equivalence leg on the one-arm lockstep path.
+    """
+    return batch_size is not None or bool(
+        os.environ.get(BATCH_ENV_VAR, "").strip())
+
+
 def run_sharded(worker: Callable[[_Spec], _Result],
                 specs: Sequence[_Spec],
                 workers: int = 1) -> List[_Result]:

@@ -186,6 +186,9 @@ def run_study(study, worker, workers: Optional[int] = None,
                 session.event("cache-store", key=cache.key_for(material))
 
     if session is not None:
+        occupancy = getattr(result, "occupancy", None)
+        if occupancy is not None:
+            session.engine_occupancy(occupancy)
         session.event("study-finish", study=study.STUDY)
         if study.TRACED_WORKER:
             fault_plan = study.fault_plan

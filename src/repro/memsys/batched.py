@@ -98,6 +98,20 @@ HAVE_NUMPY = _np is not None
 #: Initial per-arm bandwidth-window ring capacity (grows on demand).
 _WINDOW_CAP = 1024
 
+#: Window entries probed per step of the counted prune. A fill expires
+#: about one entry on average, so the short probe settles about four in
+#: five fills of a fleetbench sweep; the long one takes the bursts
+#: after a compute gap.
+_LOOKAHEAD = 64
+_LOOKAHEAD_SHORT = _np.arange(8) if _np is not None else None
+_LOOKAHEAD_LONG = _np.arange(_LOOKAHEAD) if _np is not None else None
+
+#: The counted prune needs the running window sum to be an exact
+#: integer with headroom: below 2**50, a batch would need about 10**14
+#: fills of 64 bytes to push it past 2**53, where integers stop being
+#: exact doubles.
+_EXACT_SUM_BOUND = float(2 ** 50)
+
 
 class LockstepBailout(Exception):
     """A batch hit the one operation lockstep cannot vectorize.
@@ -153,6 +167,22 @@ class BatchOccupancy:
             "fallback_reasons": {reason: self.reasons[reason]
                                  for reason in sorted(self.reasons)},
         }
+
+
+def describe_occupancy(stats: Dict) -> Optional[str]:
+    """One line for a :meth:`BatchOccupancy.to_dict` summary, e.g.
+    ``12/96 arm-runs batched (2 lockstep groups); 84 scalar:
+    below-crossover=84``; ``None`` when no arm ran."""
+    total = stats["batched_arms"] + stats["scalar_arms"]
+    if total == 0:
+        return None
+    line = (f"{stats['batched_arms']}/{total} arm-runs batched "
+            f"({stats['groups']} lockstep groups)")
+    if stats["scalar_arms"]:
+        reasons = ", ".join(f"{reason}={count}" for reason, count
+                            in stats["fallback_reasons"].items())
+        line += f"; {stats['scalar_arms']} scalar: {reasons}"
+    return line
 
 
 def lockstep_fallback_reason(hierarchy) -> Optional[str]:
@@ -257,6 +287,61 @@ def cached_state_fingerprint(hierarchy) -> Tuple:
     if fingerprint is None:
         fingerprint = hierarchy._state_fp_cache = state_fingerprint(hierarchy)
     return fingerprint
+
+
+#: The lockstep-vs-scalar cost model (DESIGN.md §11), in microseconds
+#: per trace record, keyed by (the group's bank has an enabled
+#: prefetcher, the batch exports cache state): the batch's fixed cost
+#: ``F``, its marginal cost per arm ``m`` and the scalar engine's cost
+#: per arm ``s``. Per-record costs differ by trace, so the model keeps,
+#: per key, the largest ``F/s`` and ``m/s`` measured on one CPU
+#: (Python 3.11, NumPy 2.4) over 1- to 32-arm ``run_many`` calls on
+#: the fleetbench trace of ``bench_batched_engine`` and
+#: ``bench_batched_enabled`` (seed 7, 17,852 records) and on a cold
+#: ``noisy-hard`` epoch (120 records, miss-heavy), scaled to the
+#: fleetbench trace's ``s``. Erring toward scalar keeps the default
+#: from ever being the slow choice. For cold arms the model is a
+#: crossover ``F / (s - m)`` of about 26, 11, 6.4 and 3.5 arms for the
+#: four keys below.
+_COST_PER_RECORD_US = {
+    (False, True): (51.0, 4.8, 6.8),
+    (False, False): (51.0, 2.0, 6.8),
+    (True, True): (77.0, 6.4, 18.4),
+    (True, False): (57.0, 2.4, 18.4),
+}
+
+#: ... and ``c``, per resident cache line per arm: the batch copies the
+#: reference arm's lines in and every arm's lines out, and groups by a
+#: state fingerprint that walks them all. Fitted by least squares on
+#: the warm 3- and 5-arm groups of a ``noisy-hard`` study (seed 23;
+#: 120-record epochs, 0.8k-6.8k resident lines): 3.2-4.2 us.
+_COST_PER_RESIDENT_LINE_US = 3.5
+
+
+def lockstep_pays(arms: int, records: int, resident: int,
+                  bank_enabled: bool, export_state: bool) -> bool:
+    """Whether one lockstep batch of ``arms`` beats running them scalar.
+
+    Compares ``N*(F + k*m) + c*R*(k+1)`` against ``k*N*s`` for ``k``
+    arms, ``N`` trace records and ``R`` resident lines in the reference
+    arm's caches. Every input is known before any state fingerprint is
+    taken, and the constants are fixed, so the decision is deterministic.
+    """
+    fixed, marginal, scalar = _COST_PER_RECORD_US[bank_enabled,
+                                                  export_state]
+    lockstep = (records * (fixed + arms * marginal)
+                + _COST_PER_RESIDENT_LINE_US * resident * (arms + 1))
+    return lockstep < arms * records * scalar
+
+
+def group_pays(reference, arms: int, records: int,
+               export_state: bool) -> bool:
+    """:func:`lockstep_pays` for ``arms`` arms shaped like ``reference``
+    (its resident lines and enabled mask; both O(1) to read)."""
+    resident = reference.l1._size + reference.l2._size + reference.llc._size
+    return lockstep_pays(arms, records, resident,
+                         bool(reference.prefetchers.enabled_prefetchers()),
+                         export_state)
 
 
 def software_prefetch_lines(compiled) -> int:
@@ -389,24 +474,43 @@ class _LockstepBatch:
         self.sw_issued = 0
         self.useful = 0
 
-        # Bandwidth window as a per-arm ring: (time, bytes) columns plus
-        # the running sum, updated with the scalar engine's exact op
-        # sequence (sequential pops subtract, each append adds).
-        cap = _WINDOW_CAP
-        for h in hierarchies:
-            cap = max(cap, 2 * len(h.dram._window._points) + 8)
-        self.wtimes = _np.zeros((arms, cap))
-        self.wbytes = _np.zeros((arms, cap))
-        self.whead = _np.zeros(arms, _np.int64)
-        self.wtail = _np.zeros(arms, _np.int64)
+        # Bandwidth window as per-arm rows of (time, bytes) plus the
+        # running sum, updated with the scalar engine's exact op
+        # sequence (pops subtract, each append adds). Every fill appends
+        # one entry to every arm, so the rows share one tail column: the
+        # starting points are right-aligned to it and an append is one
+        # column store. Each arm's head is kept as a flat index into the
+        # row-major arrays. Unwritten times read +inf, so a probe past
+        # an arm's live entries never counts as expired, and the
+        # _LOOKAHEAD padding columns keep every probe in bounds.
+        # Unwritten bytes read 64.0, the only value a batch appends.
+        lengths = [len(h.dram._window._points) for h in hierarchies]
+        tail = max(lengths)
+        cap = max(_WINDOW_CAP, 2 * tail + 8)
+        self.wtimes = _np.full((arms, cap + _LOOKAHEAD), _np.inf)
+        self.wbytes = _np.full((arms, cap + _LOOKAHEAD), 64.0)
+        self.row_base = self.ar * (cap + _LOOKAHEAD)
+        self.wtail = tail
         self.win_sum = _np.zeros(arms)
+        exact = True
         for arm, h in enumerate(hierarchies):
-            points = list(h.dram._window._points)
-            for slot, (t_ns, value) in enumerate(points):
+            window = h.dram._window
+            start = tail - lengths[arm]
+            for slot, (t_ns, value) in enumerate(window._points, start):
                 self.wtimes[arm, slot] = t_ns
                 self.wbytes[arm, slot] = value
-            self.wtail[arm] = len(points)
-            self.win_sum[arm] = h.dram._window._sum
+                exact = exact and value == 64.0
+            win_sum = float(window._sum)
+            self.win_sum[arm] = win_sum
+            exact = exact and win_sum.is_integer() \
+                and abs(win_sum) < _EXACT_SUM_BOUND
+        self.whead = self.row_base + (tail - _np.array(lengths, _np.int64))
+        # The counted prune subtracts 64.0 * count in one step. That
+        # equals the scalar engine's count sequential pops of 64.0 only
+        # while every popped entry is 64.0 and the sum stays an exact
+        # integer (the batch itself only ever appends 64.0); any other
+        # starting window takes the sequential pops.
+        self.exact_window = exact
 
         # In-flight prefetches: membership is uniform (a fingerprint
         # precondition), arrival times are per-arm.
@@ -436,20 +540,62 @@ class _LockstepBatch:
     # --- the DRAM window --------------------------------------------------
 
     def _win_compact(self) -> None:
-        arms, cap = self.wtimes.shape
-        counts = self.wtail - self.whead
-        new_cap = cap if int(counts.max()) * 2 <= cap else cap * 2
-        times = _np.zeros((arms, new_cap))
-        values = _np.zeros((arms, new_cap))
-        for arm in range(arms):
-            head, tail = int(self.whead[arm]), int(self.wtail[arm])
-            count = tail - head
-            times[arm, :count] = self.wtimes[arm, head:tail]
-            values[arm, :count] = self.wbytes[arm, head:tail]
-            self.whead[arm] = 0
-            self.wtail[arm] = count
+        """Shift every row left past the oldest live entry (doubling the
+        capacity when the window is over half full)."""
+        arms, width = self.wtimes.shape
+        cap = width - _LOOKAHEAD
+        heads = self.whead - self.row_base
+        shift = int(heads.min())
+        live = self.wtail - shift
+        new_cap = cap if live * 2 <= cap else cap * 2
+        times = _np.full((arms, new_cap + _LOOKAHEAD), _np.inf)
+        values = _np.full((arms, new_cap + _LOOKAHEAD), 64.0)
+        times[:, :live] = self.wtimes[:, shift:self.wtail]
+        values[:, :live] = self.wbytes[:, shift:self.wtail]
         self.wtimes = times
         self.wbytes = values
+        self.row_base = self.ar * (new_cap + _LOOKAHEAD)
+        self.whead = self.row_base + (heads - shift)
+        self.wtail = live
+
+    def _prune_counted(self, horizon) -> None:
+        """Evict every arm's expired entries by counting them: per arm,
+        the leading entries at or before the horizon (times are
+        non-decreasing along a row, so that count is exactly the scalar
+        engine's number of pops), probed a bounded lookahead at a time,
+        and subtract ``64.0 * count`` at once. Valid only under the
+        exact-window precondition checked at construction."""
+        times = self.wtimes.reshape(-1)
+        limit = horizon[:, None]
+        head = self.whead
+        ahead = _LOOKAHEAD_SHORT
+        while True:
+            expired = times.take(head[:, None] + ahead) <= limit
+            count = _np.add.reduce(expired, axis=1)
+            most = int(_np.maximum.reduce(count))
+            if not most:
+                break
+            self.win_sum -= 64.0 * count
+            head = head + count
+            if most < ahead.size:
+                break
+            ahead = _LOOKAHEAD_LONG
+        self.whead = head
+
+    def _prune_sequential(self, horizon) -> None:
+        """Evict expired entries one pop per arm per step, subtracting
+        each popped value in order — the scalar loop verbatim, for
+        windows the counted prune cannot reproduce bit for bit."""
+        times = self.wtimes.reshape(-1)
+        values = self.wbytes.reshape(-1)
+        head = self.whead
+        while True:
+            pop = times.take(head) <= horizon
+            if not pop.any():
+                break
+            self.win_sum[pop] = self.win_sum[pop] - values.take(head[pop])
+            head = head + pop
+        self.whead = head
 
     def _dram_fill(self):
         """One line fill on every arm at its own clock; returns per-arm
@@ -460,22 +606,11 @@ class _LockstepBatch:
         compute the queuing latency from the utilization *before* the
         fill's bytes join the window, then append.
         """
-        ar = self.ar
         horizon = self.now - self.win_span
-        head = self.whead
-        tail = self.wtail
-        while True:
-            live = head < tail
-            probe = _np.where(live, head, 0)
-            pop = live & (self.wtimes[ar, probe] <= horizon)
-            if not pop.any():
-                break
-            popped = ar[pop]
-            self.win_sum[popped] = (self.win_sum[popped]
-                                    - self.wbytes[popped, head[pop]])
-            head = head + pop
-        self.whead = head
-
+        if self.exact_window:
+            self._prune_counted(horizon)
+        else:
+            self._prune_sequential(horizon)
         rate = self.win_sum / self.win_span
         raw = (rate + self.ext) / self.sat_bw
         u = _np.maximum(raw, 0.0)
@@ -483,20 +618,20 @@ class _LockstepBatch:
         # NumPy's pow does not bit-match float.__pow__; the scalar oracle
         # uses Python ** so this must too, arm by arm.
         queue_exp = self.queue_exp
-        powed = _np.array([c ** queue_exp for c in clamped.tolist()])
+        levels = clamped.tolist()
+        powed = _np.array([c ** queue_exp for c in levels])
         queue = self.queue_gain * powed / (1.0 - clamped)
         latency = self.unloaded_ns * (1.0 + queue)
-        over = u > self.max_util
-        if over.any():
-            latency[over] *= 1.0 + self.overload_gain \
-                * (u[over] - self.max_util)
-
-        if int(tail.max()) == self.wtimes.shape[1]:
+        # u > max_util only where clamped == max_util.
+        if max(levels) >= self.max_util:
+            over = u > self.max_util
+            if over.any():
+                latency[over] *= 1.0 + self.overload_gain \
+                    * (u[over] - self.max_util)
+        if self.wtail == self.wtimes.shape[1] - _LOOKAHEAD:
             self._win_compact()
-            tail = self.wtail
-        self.wtimes[ar, tail] = self.now
-        self.wbytes[ar, tail] = 64.0
-        self.wtail = tail + 1
+        self.wtimes[:, self.wtail] = self.now
+        self.wtail += 1
         self.win_sum += 64.0
         return latency
 
@@ -1003,10 +1138,10 @@ class _LockstepBatch:
             dram.prefetch_fills += self.p_fills
             dram.prefetch_bytes += self.p_fills * CACHE_LINE_BYTES
             window = dram._window
-            head, tail = int(self.whead[arm]), int(self.wtail[arm])
-            window._points = deque(
-                (float(self.wtimes[arm, slot]), float(self.wbytes[arm, slot]))
-                for slot in range(head, tail))
+            head = int(self.whead[arm] - self.row_base[arm])
+            window._points = deque(zip(
+                self.wtimes[arm, head:self.wtail].tolist(),
+                self.wbytes[arm, head:self.wtail].tolist()))
             window._sum = float(self.win_sum[arm])
             h._sw_issued += self.sw_issued
             h._useful += self.useful

@@ -841,6 +841,13 @@ def run_many(hierarchies: Sequence[MemoryHierarchy], trace: Trace,
     hardware prefetcher lockstep-safe, constant or absent external load,
     no tracer) are grouped by config signature *and* state fingerprint,
     chunked into batches of ``batch_size``, and executed simultaneously.
+    When the batch size is defaulted, a deterministic cost model
+    (:func:`~repro.memsys.batched.lockstep_pays`) first keeps each
+    config group, and then each state group, on the scalar engine when
+    lockstep would not pay for itself — before any state fingerprint is
+    taken — and :class:`~repro.memsys.batched.BatchOccupancy` counts
+    those arms as ``below-crossover``. A chosen batch size (the
+    argument or ``REPRO_BATCH``) forces lockstep at every group size.
     Grouping happens afresh on every call, which is what lets
     control-mode fleets — daemons toggling MSRs between trace slices —
     regroup into smaller lockstep sub-batches as their enabled masks and
@@ -855,8 +862,9 @@ def run_many(hierarchies: Sequence[MemoryHierarchy], trace: Trace,
         trace: One trace shared by every arm.
         batch_size: Arms per lockstep batch. ``None`` defers to the
             ``REPRO_BATCH`` environment variable (default
-            :data:`~repro.fleet.parallel.DEFAULT_BATCH_SIZE`); ``0``
-            disables batching entirely. ``REPRO_SLOW_ENGINE`` also
+            :data:`~repro.fleet.parallel.DEFAULT_BATCH_SIZE`, with the
+            cost model choosing which groups batch); ``0`` disables
+            batching entirely. ``REPRO_SLOW_ENGINE`` also
             disables batching (the reference interpreter *is* the
             oracle chain's far end).
         export_state: When False, skip rebuilding batched arms' cache
@@ -868,12 +876,13 @@ def run_many(hierarchies: Sequence[MemoryHierarchy], trace: Trace,
             accumulating where each arm ran (lockstep vs scalar) and the
             per-reason scalar-fallback counts for this call.
     """
-    from repro.fleet.parallel import resolve_batch_size
+    from repro.fleet.parallel import batch_size_explicit, resolve_batch_size
     from repro.fleet.shard import plan_batches
     from repro.memsys import batched
 
     hierarchies = list(hierarchies)
     resolved = resolve_batch_size(batch_size)
+    forced = batch_size_explicit(batch_size)
 
     def note_scalar(count: int, reason: str) -> None:
         if occupancy is not None and count:
@@ -895,52 +904,81 @@ def run_many(hierarchies: Sequence[MemoryHierarchy], trace: Trace,
         note_scalar(len(scalar_arms), "no-numpy")
     else:
         compiled = trace.compile()
-        sw_lines = batched.software_prefetch_lines(compiled)
-        groups: Dict[tuple, List[int]] = {}
+        records = len(compiled)
+        sw_lines = None
+
+        def below_crossover(arms: List[int]) -> bool:
+            # A defaulted batch size lets the cost model keep small
+            # groups scalar; a chosen one forces lockstep at any size.
+            if forced or batched.group_pays(hierarchies[arms[0]],
+                                            len(arms), records,
+                                            export_state):
+                return False
+            scalar_arms.extend(arms)
+            note_scalar(len(arms), "below-crossover")
+            return True
+
+        config_groups: Dict[tuple, List[int]] = {}
         for arm, hierarchy in enumerate(hierarchies):
             reason = batched.lockstep_fallback_reason(hierarchy)
             if reason is None:
-                # Arms batch together only when both the config and the
-                # starting cache/in-flight/recent/prefetcher state match
-                # — state uniformity is what makes lockstep evolution
-                # exact. The fingerprints are cached on the arm: a batch
-                # stamps the shared post-run value, so epoch-loop
-                # callers regroup without re-walking every cache.
-                key = (batched.cached_config_signature(hierarchy),
-                       batched.cached_state_fingerprint(hierarchy))
-                groups.setdefault(key, []).append(arm)
+                config_groups.setdefault(
+                    batched.cached_config_signature(hierarchy),
+                    []).append(arm)
             else:
                 scalar_arms.append(arm)
                 note_scalar(1, reason)
-        for arms in groups.values():
-            # Static half of the prune guard: a trace whose software
-            # prefetches alone could cross the scalar engine's in-flight
-            # threshold (the prune compares per-arm clocks, so firing it
-            # would let cache behavior diverge inside a batch) never
-            # enters lockstep. Hardware issue volume has no static
-            # bound; the batch itself bails out dynamically instead.
-            in_flight = len(hierarchies[arms[0]]._in_flight)
-            if (in_flight + sw_lines
-                    > MemoryHierarchy._IN_FLIGHT_PRUNE_THRESHOLD):
-                scalar_arms.extend(arms)
-                note_scalar(len(arms), "prune-bound")
+        for config_arms in config_groups.values():
+            # The cost model runs before any state fingerprint: walking
+            # and hashing every resident line costs more than a small
+            # group saves, so groups it rejects never pay for it.
+            if below_crossover(config_arms):
                 continue
-            for start, stop in plan_batches(len(arms), resolved):
-                chunk = arms[start:stop]
-                try:
-                    batch_results = batched.run_lockstep(
-                        [hierarchies[arm] for arm in chunk], compiled,
-                        export_state=export_state)
-                except batched.LockstepBailout:
-                    # The batch touched no arm state before export, so
-                    # the chunk reruns scalar, bit-identically.
-                    scalar_arms.extend(chunk)
-                    note_scalar(len(chunk), "prune-bailout")
+            # Arms batch together only when the starting cache/in-flight/
+            # recent/prefetcher state also matches — state uniformity is
+            # what makes lockstep evolution exact. The fingerprints are
+            # cached on the arm: a batch stamps the shared post-run
+            # value, so epoch-loop callers regroup without re-walking
+            # every cache.
+            state_groups: Dict[tuple, List[int]] = {}
+            for arm in config_arms:
+                state_groups.setdefault(
+                    batched.cached_state_fingerprint(hierarchies[arm]),
+                    []).append(arm)
+            for arms in state_groups.values():
+                if below_crossover(arms):
                     continue
-                if occupancy is not None:
-                    occupancy.record_batched(len(chunk), 1)
-                for arm, result in zip(chunk, batch_results):
-                    results[arm] = result
+                # Static half of the prune guard: a trace whose software
+                # prefetches alone could cross the scalar engine's
+                # in-flight threshold (the prune compares per-arm
+                # clocks, so firing it would let cache behavior diverge
+                # inside a batch) never enters lockstep. Hardware issue
+                # volume has no static bound; the batch itself bails out
+                # dynamically instead.
+                if sw_lines is None:
+                    sw_lines = batched.software_prefetch_lines(compiled)
+                in_flight = len(hierarchies[arms[0]]._in_flight)
+                if (in_flight + sw_lines
+                        > MemoryHierarchy._IN_FLIGHT_PRUNE_THRESHOLD):
+                    scalar_arms.extend(arms)
+                    note_scalar(len(arms), "prune-bound")
+                    continue
+                for start, stop in plan_batches(len(arms), resolved):
+                    chunk = arms[start:stop]
+                    try:
+                        batch_results = batched.run_lockstep(
+                            [hierarchies[arm] for arm in chunk], compiled,
+                            export_state=export_state)
+                    except batched.LockstepBailout:
+                        # The batch touched no arm state before export,
+                        # so the chunk reruns scalar, bit-identically.
+                        scalar_arms.extend(chunk)
+                        note_scalar(len(chunk), "prune-bailout")
+                        continue
+                    if occupancy is not None:
+                        occupancy.record_batched(len(chunk), 1)
+                    for arm, result in zip(chunk, batch_results):
+                        results[arm] = result
 
     for arm in scalar_arms:
         results[arm] = hierarchies[arm].run(trace)

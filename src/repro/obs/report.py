@@ -3,7 +3,8 @@
 ``repro report <run-dir>`` lands here. The human rendering shows the
 run identity (study, engine, shards, cache disposition), the wall-clock
 phase breakdown, per-shard simulated spans and wall times, result-cache
-effectiveness, the incident ledger with MTTR, and a chronological
+effectiveness, where the memsys engine ran the study's arms, the
+incident ledger with MTTR, and a chronological
 timeline of notable events — with an ASCII chart of disabled sockets
 over simulated time when the run has controller activity. ``--json``
 emits the same material as one machine-readable object; every event is
@@ -134,6 +135,7 @@ def build_report(run_dir: _PathLike) -> Dict:
         "phases": manifest["execution"].get("phases", []),
         "shards": _shard_rows(events, manifest),
         "cache": _cache_stats(events, manifest),
+        "occupancy": manifest["execution"].get("occupancy"),
         "incidents": _incident_stats(events),
         "transitions": sum(1 for e in events
                            if e["kind"] == "controller-transition"),
@@ -236,6 +238,12 @@ def render_report(run_dir: _PathLike,
     lines.append(f"result cache: {cache['disposition']} "
                  f"(hits={cache['hits']} misses={cache['misses']} "
                  f"stores={cache['stores']})")
+    if report["occupancy"] is not None:
+        from repro.memsys.batched import describe_occupancy
+
+        line = describe_occupancy(report["occupancy"])
+        if line is not None:
+            lines.append(f"memsys engine: {line}")
 
     incidents = report["incidents"]
     if incidents["count"]:

@@ -13,8 +13,9 @@ the run directory:
 * ``manifest.json`` — a ``run`` block (deterministic identity: study
   kind, cache-key material, fault plan, shard seeds, engine choice,
   event count and digest) plus an ``execution`` block (wall-clock
-  overlay: worker count, phase and shard timings, cache disposition)
-  that is explicitly outside the determinism contract.
+  overlay: worker count, phase and shard timings, cache disposition,
+  and where the memsys engine ran each arm) that is explicitly outside
+  the determinism contract.
 """
 
 from __future__ import annotations
@@ -82,6 +83,7 @@ class ObsSession:
         self._shard_walls: Dict[int, float] = {}
         self._cache: str = "off"
         self._queue: Optional[Dict] = None
+        self._occupancy: Optional[Dict] = None
         self._start = time.monotonic()
 
     # --- event collection ------------------------------------------------------
@@ -115,6 +117,17 @@ class ObsSession:
         """Record the checkpointed work-queue disposition (execution
         overlay; a :class:`~repro.fleet.queue.QueueStats`)."""
         self._queue = stats.to_dict()
+
+    def engine_occupancy(self, occupancy) -> None:
+        """Record where the memsys engine ran the study's arms (execution
+        overlay; a merged :class:`~repro.memsys.batched.BatchOccupancy`).
+
+        The run block's ``engine`` field names the engine family only;
+        this says how many arm-runs went to lockstep and why the rest
+        ran scalar. Outside the determinism contract because a restored
+        shard or a cache hit runs no engine at all.
+        """
+        self._occupancy = occupancy.to_dict()
 
     @contextmanager
     def phase(self, name: str) -> Iterator[None]:
@@ -164,6 +177,7 @@ class ObsSession:
                                  in sorted(self._shard_walls.items())},
                 "cache": self._cache,
                 "queue": self._queue,
+                "occupancy": self._occupancy,
             },
         }
         atomic_write_text(

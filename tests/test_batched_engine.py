@@ -8,14 +8,20 @@ counter, and the full post-run hierarchy state. These tests drive both
 paths over heterogeneous arm fleets and compare everything, including
 the dispatch decisions (which arms batched, which fell back to scalar).
 
-The batched leg passes ``batch_size=None`` wherever the batch size is
-not itself under test, so CI's ``batched-equivalence`` matrix can pin
-it through ``REPRO_BATCH``.
+The batched leg passes ``resolve_batch_size(None)`` wherever the batch
+size is not itself under test, so CI's ``batched-equivalence`` matrix
+still pins it through ``REPRO_BATCH``. Passing it explicitly matters:
+a defaulted size lets ``run_many``'s cost model keep these small fleets
+on the scalar engine, which would turn the comparison into scalar
+against scalar, so each leg also asserts from ``BatchOccupancy`` that
+lockstep ran. Tests that assert batch shapes pin
+``DEFAULT_BATCH_SIZE`` instead.
 """
 
 import pytest
 
 from repro.access import AccessKind, MemoryAccess, Trace
+from repro.fleet.parallel import DEFAULT_BATCH_SIZE, resolve_batch_size
 from repro.memsys import (
     ConstantExternalLoad,
     MemoryHierarchy,
@@ -148,8 +154,22 @@ def make_records():
     return records
 
 
+def lockstep_size():
+    """The batched legs' size: ``REPRO_BATCH`` when set, else the
+    default — passed explicitly, which forces lockstep at any group
+    size."""
+    return resolve_batch_size(None)
+
+
+def assert_lockstep_ran(occupancy, size, arms):
+    """At a positive size every arm of an all-eligible fleet batched."""
+    if size > 0:
+        assert occupancy.batched_arms == arms, occupancy.to_dict()
+
+
 def assert_batched_matches_scalar(records, loads=ARM_LOADS,
-                                  batch_size=None, split=None):
+                                  batch_size=None, split=None,
+                                  expect_lockstep=True):
     """Both paths over the same arms must agree on everything.
 
     ``split`` optionally cuts the records into two back-to-back
@@ -159,12 +179,18 @@ def assert_batched_matches_scalar(records, loads=ARM_LOADS,
         traces = [Trace(records)]
     else:
         traces = [Trace(records[:split]), Trace(records[split:])]
+    if batch_size is None:
+        batch_size = lockstep_size()
     scalar_arms = build_arms(loads)
     batched_arms = build_arms(loads)
     for trace in traces:
+        occupancy = batched.BatchOccupancy()
         scalar_results = run_many(scalar_arms, trace, batch_size=0)
         batched_results = run_many(batched_arms, trace,
-                                   batch_size=batch_size)
+                                   batch_size=batch_size,
+                                   occupancy=occupancy)
+        if expect_lockstep:
+            assert_lockstep_ran(occupancy, batch_size, len(loads))
         for arm in range(len(scalar_arms)):
             assert (snapshot(batched_arms[arm], batched_results[arm])
                     == snapshot(scalar_arms[arm], scalar_results[arm])), (
@@ -228,7 +254,8 @@ class TestDispatch:
 
         trace = Trace(make_records())
         batched_arms = fleet()
-        batched_results = run_many(batched_arms, trace)
+        batched_results = run_many(batched_arms, trace,
+                                   batch_size=DEFAULT_BATCH_SIZE)
         assert sorted(calls) == [1, len(loads)]  # own group, not scalar
 
         scalar_arms = fleet()
@@ -258,7 +285,9 @@ class TestDispatch:
         trace = Trace(make_records())
         occupancy = batched.BatchOccupancy()
         batched_arms = fleet()
-        batched_results = run_many(batched_arms, trace, occupancy=occupancy)
+        batched_results = run_many(batched_arms, trace,
+                                   batch_size=lockstep_size(),
+                                   occupancy=occupancy)
         assert sum(calls) == len(loads)  # the opaque arm stayed scalar
         summary = occupancy.to_dict()
         assert summary["batched_arms"] == len(loads)
@@ -290,11 +319,13 @@ class TestDispatch:
 
         calls = spy_lockstep(monkeypatch)
         batched_arms, flipper = fleet()
-        batched_a = run_many(batched_arms, traces[0])
+        batched_a = run_many(batched_arms, traces[0],
+                             batch_size=DEFAULT_BATCH_SIZE)
         assert sum(calls) == 6  # everyone batched while the bank was off
         calls.clear()
         flipper.set_hardware_prefetchers(True)
-        batched_b = run_many(batched_arms, traces[1])
+        batched_b = run_many(batched_arms, traces[1],
+                             batch_size=DEFAULT_BATCH_SIZE)
         assert sorted(calls) == [1, 5]  # flipped arm regrouped, alone
 
         scalar_arms, scalar_flipper = fleet()
@@ -315,7 +346,7 @@ class TestDispatch:
         arms[0].obs = NULL_TRACER  # falsy: the no-observability state
         arms[1].obs = Tracer()
         trace = Trace(make_records()[:400])
-        batched_results = run_many(arms, trace)
+        batched_results = run_many(arms, trace, batch_size=lockstep_size())
         assert sum(calls) == 2  # the recording tracer forced one arm scalar
 
         scalar_arms = build_arms((None, 0.5, 1.0))
@@ -352,7 +383,8 @@ class TestDispatch:
             address=(6 << 20) + i * 64, size=64,
             kind=AccessKind.SOFTWARE_PREFETCH, pc=1, function="spray")
             for i in range(64)]
-        assert_batched_matches_scalar(records, loads=(None, 0.5, 1.0))
+        assert_batched_matches_scalar(records, loads=(None, 0.5, 1.0),
+                                      expect_lockstep=False)
         assert calls == []
 
 
@@ -396,11 +428,16 @@ class TestEnabledGolden:
             arms.append(MemoryHierarchy(prefetchers=bank_factory()))
             return arms
 
+        if batch_size is None:
+            batch_size = lockstep_size()
         scalar_arms, batched_arms = fleet(), fleet()
         for trace in traces:
+            occupancy = batched.BatchOccupancy()
             scalar_results = run_many(scalar_arms, trace, batch_size=0)
             batched_results = run_many(batched_arms, trace,
-                                       batch_size=batch_size)
+                                       batch_size=batch_size,
+                                       occupancy=occupancy)
+            assert_lockstep_ran(occupancy, batch_size, len(scalar_arms))
             for arm in range(len(scalar_arms)):
                 assert (snapshot(batched_arms[arm], batched_results[arm])
                         == snapshot(scalar_arms[arm],
@@ -422,7 +459,8 @@ class TestEnabledGolden:
 
     def test_hw_prefetches_issued_reported(self):
         arms = build_enabled_arms((None, 0.5))
-        results = run_many(arms, Trace(make_records()))
+        results = run_many(arms, Trace(make_records()),
+                           batch_size=lockstep_size())
         assert results[0].hw_prefetches_issued > 0
         assert (results[0].hw_prefetches_issued
                 == sum(p.issued for p in arms[0].prefetchers))
@@ -444,13 +482,15 @@ class TestEligibilityEdges:
 
         calls = spy_lockstep(monkeypatch)
         batched_arms = fleet()
-        run_many(batched_arms, traces[0])
+        run_many(batched_arms, traces[0], batch_size=DEFAULT_BATCH_SIZE)
         assert calls == [4]
         calls.clear()
         for arm in batched_arms[2:]:
             arm.set_hardware_prefetchers(True)  # the MSR daemon acted
         occupancy = batched.BatchOccupancy()
-        batched_b = run_many(batched_arms, traces[1], occupancy=occupancy)
+        batched_b = run_many(batched_arms, traces[1],
+                             batch_size=DEFAULT_BATCH_SIZE,
+                             occupancy=occupancy)
         assert sorted(calls) == [2, 2]  # two sub-batches, nothing scalar
         assert occupancy.to_dict() == {
             "batched_arms": 4, "scalar_arms": 0, "groups": 2,
@@ -474,12 +514,13 @@ class TestEligibilityEdges:
         traces = [Trace(records[:400]), Trace(records[400:])]
         calls = spy_lockstep(monkeypatch)
         arms = build_enabled_arms((None, 0.5, 1.0))
-        run_many(arms, traces[0])
+        run_many(arms, traces[0], batch_size=DEFAULT_BATCH_SIZE)
         assert calls == [3]
         calls.clear()
         arms[1].obs = Tracer()
         occupancy = batched.BatchOccupancy()
-        batched_b = run_many(arms, traces[1], occupancy=occupancy)
+        batched_b = run_many(arms, traces[1], batch_size=DEFAULT_BATCH_SIZE,
+                             occupancy=occupancy)
         assert sum(calls) == 2
         assert occupancy.to_dict()["fallback_reasons"] == {"tracer": 1}
 
@@ -499,7 +540,8 @@ class TestEligibilityEdges:
             prefetchers=default_prefetcher_bank(),
             external_load=lambda now_ns: 0.25))
         occupancy = batched.BatchOccupancy()
-        run_many(arms, Trace(make_records()[:300]), occupancy=occupancy)
+        run_many(arms, Trace(make_records()[:300]),
+                 batch_size=lockstep_size(), occupancy=occupancy)
         assert sum(calls) == 2
         assert occupancy.to_dict()["fallback_reasons"] == {
             "external-load": 1}
@@ -514,7 +556,8 @@ class TestEligibilityEdges:
         trace = Trace(make_records()[:400])
         occupancy = batched.BatchOccupancy()
         arms = build_enabled_arms((None, 0.5, 1.0))
-        results = run_many(arms, trace, occupancy=occupancy)
+        results = run_many(arms, trace, batch_size=lockstep_size(),
+                           occupancy=occupancy)
         summary = occupancy.to_dict()
         assert summary["fallback_reasons"] == {"prune-bailout": 3}
         assert summary["batched_arms"] == 0
@@ -530,7 +573,7 @@ class TestEligibilityEdges:
         MSR flips, scalar runs, and resets all invalidate it."""
         trace = Trace(make_records()[:300])
         arms = build_enabled_arms((None, 0.5))
-        run_many(arms, trace)
+        run_many(arms, trace, batch_size=lockstep_size())
         for arm in arms:
             assert arm._state_fp_cache is not None
             assert (batched.cached_state_fingerprint(arm)
@@ -555,7 +598,8 @@ class TestExportState:
         scalar_arms = build_arms()
         scalar_results = run_many(scalar_arms, trace, batch_size=0)
         arms = build_arms()
-        results = run_many(arms, trace, export_state=False)
+        results = run_many(arms, trace, batch_size=lockstep_size(),
+                           export_state=False)
         for arm in range(len(arms)):
             got, want = results[arm], scalar_results[arm]
             assert (tuple(getattr(got, f) for f in RESULT_FIELDS)
@@ -586,11 +630,84 @@ class TestExportState:
                        "llc_misses")
         trace = Trace(make_records()[:300])
         arms = build_arms((None, 0.5))
-        run_many(arms, trace, export_state=False)
-        rerun = run_many(arms, trace)  # cold caches again: same misses
+        run_many(arms, trace, batch_size=lockstep_size(), export_state=False)
+        # Cold caches again: same misses.
+        rerun = run_many(arms, trace, batch_size=lockstep_size())
         cold = build_arms((None, 0.5))
         cold_results = run_many(cold, trace, batch_size=0)
         for arm in range(2):
             assert (tuple(getattr(rerun[arm].total, f) for f in count_stats)
                     == tuple(getattr(cold_results[arm].total, f)
                              for f in count_stats))
+
+
+def spaced_miss_records(count=600):
+    """Demand misses spread over several 20 us bandwidth windows, so
+    every arm's window evicts as it goes."""
+    return [MemoryAccess(address=(9 << 20) + i * 4096, size=8, pc=1,
+                         function="scan", gap_cycles=40 if i % 8 == 0 else 0)
+            for i in range(count)]
+
+
+def spy_prunes(monkeypatch):
+    """Count calls to each of the lockstep window's two prune paths."""
+    calls = {"counted": 0, "sequential": 0}
+    for name in calls:
+        original = getattr(batched._LockstepBatch, f"_prune_{name}")
+
+        def spy(self, horizon, name=name, original=original):
+            calls[name] += 1
+            return original(self, horizon)
+
+        monkeypatch.setattr(batched._LockstepBatch, f"_prune_{name}", spy)
+    return calls
+
+
+def odd_entry(window):
+    window.add(0.0, 100.0)  # not a whole 64-byte line
+
+
+def fractional_sum(window):
+    for t_ns in (0.0, 1.0, 2.0):
+        window.add(t_ns, 64.0)
+    window._sum += 0.1
+
+
+def huge_sum(window):
+    # Past 2**53 a double cannot hold every integer: sequential pops of
+    # 64.0 round where one subtraction of 64.0 * count does not.
+    for t_ns in (0.0, 1.0, 2.0):
+        window.add(t_ns, 64.0)
+    window._sum = 2.0 ** 60
+
+
+class TestWindowPrune:
+    """The counted window prune and its sequential fallback."""
+
+    def test_whole_line_windows_take_the_counted_prune(self, monkeypatch):
+        calls = spy_prunes(monkeypatch)
+        assert_batched_matches_scalar(spaced_miss_records(),
+                                      loads=(None, 0.5, 1.0), batch_size=3,
+                                      split=300)
+        assert calls["counted"] > 0 and calls["sequential"] == 0
+
+    @pytest.mark.parametrize("tweak", [odd_entry, fractional_sum, huge_sum])
+    def test_other_windows_pop_sequentially(self, monkeypatch, tweak):
+        """A window the counted prune cannot reproduce bit for bit — an
+        entry other than 64.0, or a running sum that is not an exact
+        integer below 2**50 — makes the whole batch pop sequentially,
+        and it still matches the scalar engine."""
+        calls = spy_prunes(monkeypatch)
+        trace = Trace(spaced_miss_records())
+        loads = (None, 0.5, 1.0)
+        scalar_arms, batched_arms = build_arms(loads), build_arms(loads)
+        for arms in (scalar_arms, batched_arms):
+            tweak(arms[1].dram._window)
+        scalar_results = run_many(scalar_arms, trace, batch_size=0)
+        batched_results = run_many(batched_arms, trace, batch_size=3)
+        assert calls["sequential"] > 0 and calls["counted"] == 0
+        for arm in range(len(loads)):
+            assert (snapshot(batched_arms[arm], batched_results[arm])
+                    == snapshot(scalar_arms[arm], scalar_results[arm]))
+            assert (list(batched_arms[arm].dram._window._points)
+                    == list(scalar_arms[arm].dram._window._points))

@@ -12,6 +12,7 @@ from tests.hypothesis_profiles import scaled
 from hypothesis import given, settings, strategies as st
 
 from repro.access import AccessKind, MemoryAccess, Trace
+from repro.fleet.parallel import resolve_batch_size
 from repro.memsys import (
     ConstantExternalLoad,
     MemoryHierarchy,
@@ -20,7 +21,8 @@ from repro.memsys import (
 )
 from repro.memsys import batched
 
-from tests.test_batched_engine import exotic_bank, snapshot
+from tests.test_batched_engine import (assert_lockstep_ran, exotic_bank,
+                                       snapshot)
 
 pytestmark = pytest.mark.skipif(not batched.HAVE_NUMPY,
                                 reason="lockstep engine needs numpy")
@@ -82,9 +84,12 @@ def assert_fleet_agrees(records, loads, batch_size, split=None,
     scalar_arms = build_arms(loads, banks)
     batched_arms = build_arms(loads, banks)
     for trace in traces:
+        occupancy = batched.BatchOccupancy()
         scalar_results = run_many(scalar_arms, trace, batch_size=0)
         batched_results = run_many(batched_arms, trace,
-                                   batch_size=batch_size)
+                                   batch_size=batch_size,
+                                   occupancy=occupancy)
+        assert_lockstep_ran(occupancy, batch_size, len(loads))
         for arm in range(len(loads)):
             assert (snapshot(batched_arms[arm], batched_results[arm])
                     == snapshot(scalar_arms[arm], scalar_results[arm]))
@@ -111,9 +116,9 @@ class TestPropertyEquivalence:
                           min_size=2, max_size=5))
     @settings(max_examples=scaled(20), deadline=None)
     def test_env_default_batch(self, records, loads):
-        """batch_size=None (the study-layer default) also agrees —
-        under whatever REPRO_BATCH the environment pins."""
-        assert_fleet_agrees(records, loads, None)
+        """The environment's batch size (REPRO_BATCH, else the default),
+        passed explicitly so lockstep runs, also agrees."""
+        assert_fleet_agrees(records, loads, resolve_batch_size(None))
 
 
 #: One (load, bank-shape) pair per arm, so fleets mix ablated and

@@ -331,7 +331,8 @@ class TestRunFlags:
 
 class TestBatchSizeFlag:
     """``--batch-size`` is the one engine knob: 0 is the scalar engine,
-    N pins lockstep batches of N, unset defers to $REPRO_BATCH, then 32."""
+    N pins lockstep batches of N, unset defers to $REPRO_BATCH, then to
+    the cost model with batches of 32."""
 
     SWEEP = ["sweep", "--machines", "2", "--scale", "0.1"]
 
@@ -358,8 +359,10 @@ class TestBatchSizeFlag:
             "engine: 2/2 arm-runs batched (1 lockstep groups)")
 
     def test_unset_defers_to_env_then_default(self, monkeypatch, capsys):
+        # Two cold arms sit below the cost model's crossover.
         assert self.engine_line([], capsys) == (
-            "engine: 2/2 arm-runs batched (1 lockstep groups)")
+            "engine: 0/2 arm-runs batched (0 lockstep groups); "
+            "2 scalar: below-crossover=2")
         monkeypatch.setenv("REPRO_BATCH", "1")
         assert self.engine_line([], capsys) == (
             "engine: 2/2 arm-runs batched (2 lockstep groups)")

@@ -20,7 +20,11 @@ from repro.cli import main
 FAULTS = "seed=2;telemetry-drop:rate=0.2;machine-crash:rate=0.1"
 FLEET = ["--machines", "4", "--epochs", "6", "--warmup", "2"]
 
-#: name -> (argv, sha256 of stdout).
+#: name -> (argv, sha256 of stdout). The default-engine literals
+#: (``sweep-compare-serial``, ``callgraph``, ``noisy-baseline``) were
+#: re-recorded when ``run_many`` gained its cost model: only their
+#: ``engine:`` line changed, to report these small groups as scalar
+#: ``below-crossover`` runs.
 TRANSCRIPTS = {
     "ablation": (
         ["ablation", "--mode", "hard", *FLEET, "--shard-size", "2"],
@@ -35,7 +39,7 @@ TRANSCRIPTS = {
     "sweep-compare-serial": (
         ["sweep", "--mode", "control", "--machines", "4", "--scale", "0.1",
          "--shard-size", "2", "--compare-serial"],
-        "31e12d7ef5bbf84a6da069b54344358e29295440de63f9eb0846e245841a34ef"),
+        "db051fa3327b252b9a6da07a32ddb06378e9eda365c681923d3efe9e892cc300"),
     "sweep-scalar": (
         ["sweep", "--mode", "control", "--machines", "4", "--scale", "0.1",
          "--batch-size", "0"],
@@ -51,12 +55,12 @@ TRANSCRIPTS = {
         ["scenario", "callgraph", "--services",
          "edge:mixed:2:8>leaf*2;leaf:random:1:6", "--requests", "4",
          "--seed", "5"],
-        "6b012c8f502c0dd2d5925712bf9a21644be47d4ad1cf1935cd8a267eef079057"),
+        "8ba9cd69a5675f0fdd5950cd9f871eba5e6e46ae000f2f018e479154ae8b14e3"),
     "noisy-baseline": (
         ["scenario", "noisy", "--tenants", "lat:stream:6,bat:random:10",
          "--machines", "3", "--epochs", "4", "--seed", "7",
          "--sustain-ns", "20000", "--shard-size", "2", "--baseline"],
-        "1d0698d8a3dd6d468da1b6895b546332a209e285a6173f4ad9a548668eb3098a"),
+        "23fb2255f90346119621c126d4983d867d4395c2a783c724a88cd0cc87572534"),
     "noisy-batch-3": (
         ["scenario", "noisy", "--tenants", "lat:stream:6,bat:random:10",
          "--machines", "3", "--epochs", "4", "--seed", "7",

@@ -1,14 +1,16 @@
 """Tests for ``repro report <run-dir>`` and the report builder."""
 
 import json
+import os
+from unittest import mock
 
 import pytest
 
 from repro.analysis import ChaosStudy
 from repro.cli import main
 from repro.faults import FaultPlan
-from repro.fleet import AblationStudy
-from repro.obs import build_report, render_report
+from repro.fleet import AblationStudy, MicroFleetSweep
+from repro.obs import build_report, read_manifest, render_report
 
 
 @pytest.fixture(scope="module")
@@ -26,6 +28,19 @@ def chaos_run(tmp_path_factory):
     ChaosStudy(plan, machines=4, epochs=30, warmup_epochs=5,
                seed=11).run(obs_dir=str(out))
     return out
+
+
+@pytest.fixture(scope="module")
+def sweep_run(tmp_path_factory):
+    """A traced two-shard sweep on the default engine choice: its
+    two-arm groups sit below the cost model's crossover."""
+    out = tmp_path_factory.mktemp("obs") / "sweep"
+    with mock.patch.dict(os.environ):
+        os.environ.pop("REPRO_BATCH", None)
+        result = MicroFleetSweep(mode="control", machines=4, scale=0.1,
+                                 shard_size=2, seed=3).run(
+            workers=1, obs_dir=str(out))
+    return out, result
 
 
 class TestBuildReport:
@@ -52,6 +67,22 @@ class TestBuildReport:
     def test_payload_is_json_serialisable(self, chaos_run):
         json.dumps(build_report(str(chaos_run)))
 
+    def test_engine_occupancy_in_execution_overlay(self, sweep_run):
+        """The manifest says where the memsys engine ran each arm —
+        in the execution overlay, so the digested run block (and its
+        engine-family field) is unchanged."""
+        out, result = sweep_run
+        manifest = read_manifest(out)
+        occupancy = manifest["execution"]["occupancy"]
+        assert occupancy == result.occupancy.to_dict()
+        assert occupancy["fallback_reasons"] == {"below-crossover": 4}
+        assert manifest["run"]["engine"] == "compiled"
+        assert "occupancy" not in manifest["run"]
+        assert build_report(str(out))["occupancy"] == occupancy
+
+    def test_fleet_study_has_no_engine_occupancy(self, ablation_run):
+        assert build_report(str(ablation_run))["occupancy"] is None
+
 
 class TestRenderReport:
     def test_ablation_sections(self, ablation_run):
@@ -65,6 +96,12 @@ class TestRenderReport:
         text = render_report(str(chaos_run))
         assert "incident" in text
         assert "failsafe-engaged" in text or "incident-open" in text
+
+    def test_engine_occupancy_line(self, sweep_run, ablation_run):
+        out, _ = sweep_run
+        assert ("memsys engine: 0/4 arm-runs batched (0 lockstep groups); "
+                "4 scalar: below-crossover=4") in render_report(str(out))
+        assert "memsys engine" not in render_report(str(ablation_run))
 
     def test_timeline_is_capped(self, ablation_run):
         text = render_report(str(ablation_run), timeline_limit=3)
