@@ -179,15 +179,20 @@ class SoftwarePrefetchInjector:
             key = (fid, pc)
             last_line = first_line + extra * line_bytes
             run = active.get(key)
+            # _Run.append is inlined in both extensions below (this loop
+            # visits every record of a targeted function).
             if run is not None and first_line == run.next_line:
-                run.append(index, first_line, last_line)
+                run.positions.append((index, first_line - run.start_line))
+                run.next_line = last_line + line_bytes
                 continue
             if run is not None and first_line == run.next_line - line_bytes:
                 # Sub-line stride: another access within the run's current
                 # last line (e.g. serialize reading 32-byte fields). The
                 # stream continues; extend if this record reaches further.
                 if last_line >= run.next_line:
-                    run.append(index, run.next_line, last_line)
+                    run.positions.append(
+                        (index, run.next_line - run.start_line))
+                    run.next_line = last_line + line_bytes
                 continue
             if run is not None:
                 closed.append((key[0], key[1], run))

@@ -88,7 +88,6 @@ try:
 except ImportError:  # pragma: no cover - the toolchain ships numpy
     _np = None
 
-from repro.memsys.cache import _LineState
 from repro.memsys.dram import ConstantExternalLoad
 from repro.memsys.stats import FunctionStats, RunResult
 from repro.units import CACHE_LINE_BYTES
@@ -235,7 +234,7 @@ def state_fingerprint(hierarchy) -> Tuple:
     """Hashable summary of the arm state that steers cache evolution.
 
     Arms whose fingerprints match start from identical cache contents
-    (lines, LRU order, prefetch provenance), in-flight line sets,
+    (lines, LRU order, pending-prefetch flags), in-flight line sets,
     recent-miss histories, and prefetcher-bank state (enabled mask plus
     per-prefetcher training) — so, being timing-independent, their
     cache evolution stays identical for the whole run. Cold arms all
@@ -248,9 +247,7 @@ def state_fingerprint(hierarchy) -> Tuple:
 
     def level_fp(cache):
         return tuple(sorted(
-            (index,
-             tuple((line, state.prefetched, state.referenced)
-                   for line, state in cache_set.items()))
+            (index, tuple(cache_set.items()))
             for index, cache_set in cache._sets.items() if cache_set))
 
     return (level_fp(hierarchy.l1), level_fp(hierarchy.l2),
@@ -394,26 +391,12 @@ class _FunctionSlot:
 
 
 def _copy_sets(cache_sets) -> Dict[int, OrderedDict]:
-    """Deep-copy a cache's sets (shared working state must not alias any
-    arm's own ``_LineState`` objects, and vice versa).
-
-    Hot at high arm counts — export copies every resident line once per
-    arm — so line states are cloned with ``__new__`` plus two slot
-    stores rather than the constructor.
+    """Copy a cache's non-empty sets, so shared working state and each
+    arm's own sets never alias. A set maps line -> pending bool, so one
+    ``OrderedDict.copy`` per set copies everything, LRU order included.
     """
-    new = _LineState.__new__
-    cls = _LineState
-    copied: Dict[int, OrderedDict] = {}
-    for index, cache_set in cache_sets.items():
-        if not cache_set:
-            continue
-        fresh_set = copied[index] = OrderedDict()
-        for line, state in cache_set.items():
-            fresh = new(cls)
-            fresh.prefetched = state.prefetched
-            fresh.referenced = state.referenced
-            fresh_set[line] = fresh
-    return copied
+    return {index: cache_set.copy()
+            for index, cache_set in cache_sets.items() if cache_set}
 
 
 class _LockstepBatch:
@@ -671,7 +654,6 @@ class _LockstepBatch:
         llc_assoc = llc.config.associativity
         llc_sets = self.llc_sets
         llc_sets_get = llc_sets.get
-        line_state = _LineState
 
         in_flight = self.in_flight
         recent_list = self.recent
@@ -753,12 +735,11 @@ class _LockstepBatch:
                     else:
                         cache_set = l1_sets_get(tag & l1_mask)
                     if cache_set is not None and line in cache_set:
-                        state = cache_set[line]
                         cache_set.move_to_end(line)
                         self.l1_hits += 1
-                        if state.prefetched and not state.referenced:
+                        if cache_set[line]:
                             self.l1_pref_hits += 1
-                        state.referenced = True
+                            cache_set[line] = False
                         hit = True
                         # Hit: zero stall on every arm — the scalar
                         # engine skips the accumulation (x + 0.0 == x).
@@ -783,12 +764,11 @@ class _LockstepBatch:
                             else tag % l2_nsets)
                         if cache_set is not None and line in cache_set:
                             # L2 hit.
-                            state = cache_set[line]
                             cache_set.move_to_end(line)
                             self.l2_hits += 1
-                            if state.prefetched and not state.referenced:
+                            if cache_set[line]:
                                 self.l2_pref_hits += 1
-                            state.referenced = True
+                                cache_set[line] = False
                             stall = l2_hit_ns
                             arrivals = in_flight.pop(line, None)
                             if arrivals is not None:
@@ -809,11 +789,11 @@ class _LockstepBatch:
                             if cache_set is None:
                                 cache_set = l1_sets[index] = OrderedDict()
                             if len(cache_set) >= l1_assoc:
-                                _, victim = cache_set.popitem(False)
+                                _, pending = cache_set.popitem(False)
                                 self.l1_sized -= 1
-                                if victim.prefetched and not victim.referenced:
+                                if pending:
                                     self.l1_wasted += 1
-                            cache_set[line] = line_state(False)
+                            cache_set[line] = False
                             self.l1_sized += 1
                         else:
                             self.l2_misses += 1
@@ -824,12 +804,11 @@ class _LockstepBatch:
                                 else tag % llc_nsets)
                             if cache_set is not None and line in cache_set:
                                 # LLC hit.
-                                state = cache_set[line]
                                 cache_set.move_to_end(line)
                                 self.llc_hits += 1
-                                if state.prefetched and not state.referenced:
+                                if cache_set[line]:
                                     self.llc_pref_hits += 1
-                                state.referenced = True
+                                    cache_set[line] = False
                                 stall = llc_hit_ns
                                 arrivals = in_flight.pop(line, None)
                                 if arrivals is not None:
@@ -867,12 +846,11 @@ class _LockstepBatch:
                                 if cache_set is None:
                                     cache_set = llc_sets[index] = OrderedDict()
                                 if len(cache_set) >= llc_assoc:
-                                    _, victim = cache_set.popitem(False)
+                                    _, pending = cache_set.popitem(False)
                                     self.llc_sized -= 1
-                                    if victim.prefetched \
-                                            and not victim.referenced:
+                                    if pending:
                                         self.llc_wasted += 1
-                                cache_set[line] = line_state(False)
+                                cache_set[line] = False
                                 self.llc_sized += 1
                             # Install into L2.
                             tag = line >> l2_shift
@@ -882,11 +860,11 @@ class _LockstepBatch:
                             if cache_set is None:
                                 cache_set = l2_sets[index] = OrderedDict()
                             if len(cache_set) >= l2_assoc:
-                                _, victim = cache_set.popitem(False)
+                                _, pending = cache_set.popitem(False)
                                 self.l2_sized -= 1
-                                if victim.prefetched and not victim.referenced:
+                                if pending:
                                     self.l2_wasted += 1
-                            cache_set[line] = line_state(False)
+                            cache_set[line] = False
                             self.l2_sized += 1
                             # Install into L1.
                             tag = line >> l1_shift
@@ -896,11 +874,11 @@ class _LockstepBatch:
                             if cache_set is None:
                                 cache_set = l1_sets[index] = OrderedDict()
                             if len(cache_set) >= l1_assoc:
-                                _, victim = cache_set.popitem(False)
+                                _, pending = cache_set.popitem(False)
                                 self.l1_sized -= 1
-                                if victim.prefetched and not victim.referenced:
+                                if pending:
                                     self.l1_wasted += 1
-                            cache_set[line] = line_state(False)
+                            cache_set[line] = False
                             self.l1_sized += 1
                         now += stall
                         s_stall += stall / cycle_ns
@@ -947,12 +925,11 @@ class _LockstepBatch:
                                         cache_set = llc_sets[llc_index] \
                                             = OrderedDict()
                                     if len(cache_set) >= llc_assoc:
-                                        _, victim = cache_set.popitem(False)
+                                        _, pending = cache_set.popitem(False)
                                         self.llc_sized -= 1
-                                        if victim.prefetched \
-                                                and not victim.referenced:
+                                        if pending:
                                             self.llc_wasted += 1
-                                    cache_set[hw_line] = line_state(True)
+                                    cache_set[hw_line] = True
                                     self.llc_sized += 1
                                     # Install into L2, tagged prefetched.
                                     cache_set = l2_sets_get(l2_index)
@@ -960,12 +937,11 @@ class _LockstepBatch:
                                         cache_set = l2_sets[l2_index] \
                                             = OrderedDict()
                                     if len(cache_set) >= l2_assoc:
-                                        _, victim = cache_set.popitem(False)
+                                        _, pending = cache_set.popitem(False)
                                         self.l2_sized -= 1
-                                        if victim.prefetched \
-                                                and not victim.referenced:
+                                        if pending:
                                             self.l2_wasted += 1
-                                    cache_set[hw_line] = line_state(True)
+                                    cache_set[hw_line] = True
                                     self.l2_sized += 1
                     if not extra:
                         break
@@ -1014,24 +990,22 @@ class _LockstepBatch:
                             if cache_set is None:
                                 cache_set = llc_sets[llc_index] = OrderedDict()
                             if len(cache_set) >= llc_assoc:
-                                _, victim = cache_set.popitem(False)
+                                _, pending = cache_set.popitem(False)
                                 self.llc_sized -= 1
-                                if victim.prefetched \
-                                        and not victim.referenced:
+                                if pending:
                                     self.llc_wasted += 1
-                            cache_set[line] = line_state(True)
+                            cache_set[line] = True
                             self.llc_sized += 1
                             # Install into L2, tagged prefetched.
                             cache_set = l2_sets_get(l2_index)
                             if cache_set is None:
                                 cache_set = l2_sets[l2_index] = OrderedDict()
                             if len(cache_set) >= l2_assoc:
-                                _, victim = cache_set.popitem(False)
+                                _, pending = cache_set.popitem(False)
                                 self.l2_sized -= 1
-                                if victim.prefetched \
-                                        and not victim.referenced:
+                                if pending:
                                     self.l2_wasted += 1
-                            cache_set[line] = line_state(True)
+                            cache_set[line] = True
                             self.l2_sized += 1
                             self.sw_issued += 1
                     if not extra:

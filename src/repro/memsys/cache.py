@@ -1,41 +1,23 @@
 """A set-associative cache with true-LRU replacement.
 
-Each line carries a ``prefetched`` flag so the simulator can account
-prefetch usefulness: a prefetched line that is evicted before any demand
-touch was a wasted fetch (the bandwidth cost the paper blames for the
-latency penalty of aggressive prefetching), while a demand hit on a
-prefetched line is a covered miss.
+Each set is an ``OrderedDict`` in LRU order (least recent first) that
+maps a resident line to one bool, ``pending``: the line was prefetched
+and no demand access has touched it yet. That flag is all the simulator
+needs to account prefetch usefulness: a demand hit on a pending line is
+a covered miss, and a pending line that is evicted was a wasted fetch
+(the bandwidth cost the paper blames for the latency penalty of
+aggressive prefetching). Lines carry no per-line objects: the bools are
+shared singletons, so an install allocates nothing the garbage collector
+has to track, and copying a set (the lockstep engine's copy-in and
+export) is one ``OrderedDict.copy``.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.memsys.config import CacheConfig
-
-
-@dataclass
-class EvictedLine:
-    """What fell out of the cache on an installation."""
-
-    line: int
-    prefetched: bool
-    referenced: bool
-
-    @property
-    def wasted_prefetch(self) -> bool:
-        """True when a prefetched line dies without a single demand touch."""
-        return self.prefetched and not self.referenced
-
-
-class _LineState:
-    __slots__ = ("prefetched", "referenced")
-
-    def __init__(self, prefetched: bool) -> None:
-        self.prefetched = prefetched
-        self.referenced = not prefetched
 
 
 class SetAssociativeCache:
@@ -53,6 +35,7 @@ class SetAssociativeCache:
         else:
             self._set_mask = num_sets - 1
         self._line_shift = config.line_bytes.bit_length() - 1
+        #: set index -> OrderedDict of line -> pending, in LRU order.
         self._sets: Dict[int, OrderedDict] = {}
         self._size = 0
         self.hits = 0
@@ -71,19 +54,18 @@ class SetAssociativeCache:
 
         Args:
             line: Line-aligned address.
-            demand: True for demand accesses (counted, marks the line
-                referenced); False for probes by the prefetch path
+            demand: True for demand accesses (counted, clears the line's
+                pending flag); False for probes by the prefetch path
                 (not counted as hits/misses).
         """
         cache_set = self._sets.get(self._index(line))
         if cache_set is not None and line in cache_set:
-            state = cache_set[line]
             cache_set.move_to_end(line)
             if demand:
                 self.hits += 1
-                if state.prefetched and not state.referenced:
+                if cache_set[line]:
                     self.prefetch_hits += 1
-                state.referenced = True
+                    cache_set[line] = False
             return True
         if demand:
             self.misses += 1
@@ -94,12 +76,12 @@ class SetAssociativeCache:
         cache_set = self._sets.get(self._index(line))
         return cache_set is not None and line in cache_set
 
-    def install(self, line: int, prefetched: bool = False) -> Optional[EvictedLine]:
-        """Insert ``line``; returns the evicted victim, if any.
+    def install(self, line: int, prefetched: bool = False) -> Optional[int]:
+        """Insert ``line``; returns the evicted victim's line, if any.
 
         Installing a line that is already present refreshes its LRU
-        position (and clears nothing); a demand install of a prefetched
-        line keeps its ``prefetched`` provenance.
+        position; a demand install also clears its pending flag (without
+        counting a prefetch hit), a prefetch install leaves it as is.
         """
         index = self._index(line)
         cache_set = self._sets.get(index)
@@ -108,17 +90,15 @@ class SetAssociativeCache:
         if line in cache_set:
             cache_set.move_to_end(line)
             if not prefetched:
-                cache_set[line].referenced = True
+                cache_set[line] = False
             return None
-        victim: Optional[EvictedLine] = None
+        victim: Optional[int] = None
         if len(cache_set) >= self.config.associativity:
-            victim_line, victim_state = cache_set.popitem(last=False)
+            victim, pending = cache_set.popitem(last=False)
             self._size -= 1
-            victim = EvictedLine(victim_line, victim_state.prefetched,
-                                 victim_state.referenced)
-            if victim.wasted_prefetch:
+            if pending:
                 self.wasted_prefetches += 1
-        cache_set[line] = _LineState(prefetched)
+        cache_set[line] = prefetched
         self._size += 1
         return victim
 

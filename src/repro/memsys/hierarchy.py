@@ -37,7 +37,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.access.record import AccessKind
 from repro.access.trace import Trace
-from repro.memsys.cache import SetAssociativeCache, _LineState
+from repro.memsys.cache import SetAssociativeCache
 from repro.memsys.config import HierarchyConfig
 from repro.memsys.dram import DRAMModel
 from repro.memsys.prefetchers.bank import PrefetcherBank, default_prefetcher_bank
@@ -277,7 +277,6 @@ class MemoryHierarchy:
         llc_sets_get = llc_sets.get
         llc_hits = llc_misses = llc_pref_hits = 0
         llc_wasted = llc_sized = 0
-        line_state = _LineState
         # DRAM demand-fill state, inlined from DRAMModel.request: the
         # latency curve and sliding-window parameters are immutable for
         # the life of the model, so they can live in locals; the window's
@@ -386,12 +385,11 @@ class MemoryHierarchy:
                     else:
                         cache_set = l1_sets_get(tag & l1_mask)
                     if cache_set is not None and line in cache_set:
-                        state = cache_set[line]
                         cache_set.move_to_end(line)
                         l1_hits += 1
-                        if state.prefetched and not state.referenced:
+                        if cache_set[line]:
                             l1_pref_hits += 1
-                        state.referenced = True
+                            cache_set[line] = False
                         hit = True
                     else:
                         l1_misses += 1
@@ -413,12 +411,11 @@ class MemoryHierarchy:
                             else tag % l2_nsets)
                         if cache_set is not None and line in cache_set:
                             # L2 hit (inlined demand lookup).
-                            state = cache_set[line]
                             cache_set.move_to_end(line)
                             l2_hits += 1
-                            if state.prefetched and not state.referenced:
+                            if cache_set[line]:
                                 l2_pref_hits += 1
-                            state.referenced = True
+                                cache_set[line] = False
                             stall = l2_hit_ns
                             arrival = in_flight.pop(line, None)
                             if arrival is not None:
@@ -437,11 +434,11 @@ class MemoryHierarchy:
                             if cache_set is None:
                                 cache_set = l1_sets[index] = OrderedDict()
                             if len(cache_set) >= l1_assoc:
-                                _, victim = cache_set.popitem(False)
+                                _, pending = cache_set.popitem(False)
                                 l1_sized -= 1
-                                if victim.prefetched and not victim.referenced:
+                                if pending:
                                     l1_wasted += 1
-                            cache_set[line] = line_state(False)
+                            cache_set[line] = False
                             l1_sized += 1
                         else:
                             l2_misses += 1
@@ -452,12 +449,11 @@ class MemoryHierarchy:
                                 else tag % llc_nsets)
                             if cache_set is not None and line in cache_set:
                                 # LLC hit (inlined demand lookup).
-                                state = cache_set[line]
                                 cache_set.move_to_end(line)
                                 llc_hits += 1
-                                if state.prefetched and not state.referenced:
+                                if cache_set[line]:
                                     llc_pref_hits += 1
-                                state.referenced = True
+                                    cache_set[line] = False
                                 stall = llc_hit_ns
                                 arrival = in_flight.pop(line, None)
                                 if arrival is not None:
@@ -515,12 +511,11 @@ class MemoryHierarchy:
                                 if cache_set is None:
                                     cache_set = llc_sets[index] = OrderedDict()
                                 if len(cache_set) >= llc_assoc:
-                                    _, victim = cache_set.popitem(False)
+                                    _, pending = cache_set.popitem(False)
                                     llc_sized -= 1
-                                    if victim.prefetched \
-                                            and not victim.referenced:
+                                    if pending:
                                         llc_wasted += 1
-                                cache_set[line] = line_state(False)
+                                cache_set[line] = False
                                 llc_sized += 1
                             # Install into L2 (line just missed there).
                             tag = line >> l2_shift
@@ -530,11 +525,11 @@ class MemoryHierarchy:
                             if cache_set is None:
                                 cache_set = l2_sets[index] = OrderedDict()
                             if len(cache_set) >= l2_assoc:
-                                _, victim = cache_set.popitem(False)
+                                _, pending = cache_set.popitem(False)
                                 l2_sized -= 1
-                                if victim.prefetched and not victim.referenced:
+                                if pending:
                                     l2_wasted += 1
-                            cache_set[line] = line_state(False)
+                            cache_set[line] = False
                             l2_sized += 1
                             # Install into L1.
                             tag = line >> l1_shift
@@ -544,11 +539,11 @@ class MemoryHierarchy:
                             if cache_set is None:
                                 cache_set = l1_sets[index] = OrderedDict()
                             if len(cache_set) >= l1_assoc:
-                                _, victim = cache_set.popitem(False)
+                                _, pending = cache_set.popitem(False)
                                 l1_sized -= 1
-                                if victim.prefetched and not victim.referenced:
+                                if pending:
                                     l1_wasted += 1
-                            cache_set[line] = line_state(False)
+                            cache_set[line] = False
                             l1_sized += 1
                         now += stall
                         s_stall += stall / cycle_ns
@@ -628,24 +623,22 @@ class MemoryHierarchy:
                             if cache_set is None:
                                 cache_set = llc_sets[llc_index] = OrderedDict()
                             if len(cache_set) >= llc_assoc:
-                                _, victim = cache_set.popitem(False)
+                                _, pending = cache_set.popitem(False)
                                 llc_sized -= 1
-                                if victim.prefetched \
-                                        and not victim.referenced:
+                                if pending:
                                     llc_wasted += 1
-                            cache_set[line] = line_state(True)
+                            cache_set[line] = True
                             llc_sized += 1
                             # Install into L2, tagged prefetched.
                             cache_set = l2_sets_get(l2_index)
                             if cache_set is None:
                                 cache_set = l2_sets[l2_index] = OrderedDict()
                             if len(cache_set) >= l2_assoc:
-                                _, victim = cache_set.popitem(False)
+                                _, pending = cache_set.popitem(False)
                                 l2_sized -= 1
-                                if victim.prefetched \
-                                        and not victim.referenced:
+                                if pending:
                                     l2_wasted += 1
-                            cache_set[line] = line_state(True)
+                            cache_set[line] = True
                             l2_sized += 1
                             sw_issued += 1
                     if not extra:

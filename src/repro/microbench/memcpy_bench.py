@@ -86,6 +86,10 @@ class MemcpyMicrobenchmark:
         # every configuration of a sweep shares one base trace per size and
         # re-injects it columnar-ly; the cache holds the compiled columns.
         self._trace_cache: Dict[int, Trace] = {}
+        #: size -> elapsed ns of the un-injected base trace on this
+        #: instance's hierarchy (it depends on the hardware prefetchers,
+        #: so unlike the trace cache it is never shared between benches).
+        self._base_elapsed: Dict[int, float] = {}
         self._baseline_result: Optional[MicrobenchResult] = None
 
     # --- trace construction -------------------------------------------------
@@ -113,7 +117,13 @@ class MemcpyMicrobenchmark:
 
     def run(self, descriptor: Optional[PrefetchDescriptor] = None,
             label: Optional[str] = None) -> MicrobenchResult:
-        """Measure the sweep for one configuration."""
+        """Measure the sweep for one configuration.
+
+        A size point where injection inserts nothing (every stream under
+        the descriptor's size gate) replays the base trace unchanged, so
+        it reuses the base trace's elapsed time, which ``run(None)``
+        records per size, instead of simulating it again.
+        """
         injector = (SoftwarePrefetchInjector([descriptor])
                     if descriptor is not None else None)
         elapsed: Dict[int, float] = {}
@@ -121,9 +131,13 @@ class MemcpyMicrobenchmark:
             trace = self._batch_trace(size)
             if injector is not None:
                 trace = injector.inject(trace)
-            hierarchy = self._hierarchy()
-            result = hierarchy.run(trace)
-            elapsed[size] = result.elapsed_ns
+                if (not injector.last_stats.prefetches_inserted
+                        and size in self._base_elapsed):
+                    elapsed[size] = self._base_elapsed[size]
+                    continue
+            elapsed[size] = self._hierarchy().run(trace).elapsed_ns
+            if injector is None:
+                self._base_elapsed[size] = elapsed[size]
         if label is None:
             label = descriptor.label() if descriptor else "baseline"
         return MicrobenchResult(label=label, elapsed_by_size=elapsed)

@@ -65,11 +65,10 @@ def stat_tuple(stats):
 
 
 def cache_contents(cache):
-    """Every line in every set, LRU order — state equality, not just
-    counters."""
+    """Every ``(line, pending)`` in every set, LRU order — state
+    equality, not just counters."""
     return {
-        index: [(line, state.prefetched, state.referenced)
-                for line, state in lines.items()]
+        index: list(lines.items())
         for index, lines in cache._sets.items()
     }
 

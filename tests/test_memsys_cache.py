@@ -1,9 +1,11 @@
 """Tests for repro.memsys.cache."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigError
 from repro.memsys import CacheConfig, SetAssociativeCache
+from tests.hypothesis_profiles import scaled
 
 
 def small_cache(sets=2, ways=2):
@@ -61,7 +63,7 @@ class TestLRU:
         cache.install(0x40)
         cache.lookup(0x0)          # make 0x0 MRU
         victim = cache.install(0x80)
-        assert victim.line == 0x40
+        assert victim == 0x40
 
     def test_install_refreshes_lru(self):
         cache = small_cache(sets=1, ways=2)
@@ -69,7 +71,7 @@ class TestLRU:
         cache.install(0x40)
         cache.install(0x0)         # refresh
         victim = cache.install(0x80)
-        assert victim.line == 0x40
+        assert victim == 0x40
 
     def test_no_eviction_when_room(self):
         cache = small_cache(sets=1, ways=2)
@@ -183,3 +185,88 @@ class TestOccupancyCounter:
         for i in range(32):
             cache.install(i * 64)
         assert cache.occupancy == self.brute_force(cache) <= 4
+
+
+class ReferenceCache:
+    """A list-based LRU cache that keeps explicit ``prefetched`` and
+    ``referenced`` flags per line: the oracle for the one-bool
+    representation."""
+
+    def __init__(self, sets, ways):
+        self.sets = [[] for _ in range(sets)]
+        self.ways = ways
+        self.hits = self.misses = 0
+        self.prefetch_hits = self.wasted_prefetches = 0
+
+    def _find(self, line):
+        lines = self.sets[(line >> 6) % len(self.sets)]
+        return lines, next((e for e in lines if e[0] == line), None)
+
+    def lookup(self, line, demand):
+        lines, entry = self._find(line)
+        if entry is not None:
+            lines.remove(entry)
+            lines.append(entry)
+            if demand:
+                self.hits += 1
+                self.prefetch_hits += entry[1] and not entry[2]
+                entry[2] = True
+        elif demand:
+            self.misses += 1
+        return entry is not None
+
+    def contains(self, line):
+        return self._find(line)[1] is not None
+
+    def install(self, line, prefetched):
+        lines, entry = self._find(line)
+        if entry is not None:
+            lines.remove(entry)
+            lines.append(entry)
+            entry[2] = entry[2] or not prefetched
+            return None
+        victim = None
+        if len(lines) >= self.ways:
+            victim, was_prefetched, referenced = lines.pop(0)
+            self.wasted_prefetches += was_prefetched and not referenced
+        lines.append([line, prefetched, not prefetched])
+        return victim
+
+    def invalidate(self, line):
+        lines, entry = self._find(line)
+        if entry is not None:
+            lines.remove(entry)
+        return entry is not None
+
+
+_OPS = st.lists(st.tuples(
+    st.sampled_from(("install", "lookup", "contains", "invalidate")),
+    st.integers(0, 23).map(lambda i: i * 64), st.booleans()),
+    max_size=80)
+
+
+class TestReferenceModel:
+    """Random operation sequences give the same counters, victims, LRU
+    order and pending flags as the explicit-flag reference model."""
+
+    @given(sets=st.integers(1, 4), ways=st.integers(1, 4), ops=_OPS)
+    @settings(max_examples=scaled(150), deadline=None)
+    def test_matches_reference(self, sets, ways, ops):
+        cache = small_cache(sets=sets, ways=ways)
+        model = ReferenceCache(sets, ways)
+        for op, line, flag in ops:
+            if op == "install":
+                assert cache.install(line, prefetched=flag) \
+                    == model.install(line, flag)
+            elif op == "lookup":
+                assert cache.lookup(line, demand=flag) \
+                    == model.lookup(line, flag)
+            else:
+                assert getattr(cache, op)(line) == getattr(model, op)(line)
+            for index, lines in enumerate(model.sets):
+                assert list(cache._sets.get(index, {}).items()) == [
+                    (entry[0], entry[1] and not entry[2]) for entry in lines]
+        for counter in ("hits", "misses", "prefetch_hits",
+                        "wasted_prefetches"):
+            assert getattr(cache, counter) == getattr(model, counter)
+        assert cache.occupancy == sum(map(len, model.sets))

@@ -2,13 +2,15 @@
 
 import pytest
 
-from repro.core import PrefetchDescriptor
+from repro.core import PrefetchDescriptor, SoftwarePrefetchInjector
 from repro.errors import ConfigError
+from repro.memsys.hierarchy import MemoryHierarchy
 from repro.microbench import (
     FleetMixLoadTest,
     MemcpyMicrobenchmark,
     PAPER_SIZES,
 )
+from repro.summation import left_sum
 from repro.units import KB
 
 
@@ -79,6 +81,97 @@ class TestMicrobenchmark:
             MemcpyMicrobenchmark(bytes_per_point=0)
         with pytest.raises(ConfigError):
             MemcpyMicrobenchmark(background_utilization=2.0)
+
+
+class TestGatedPointSkip:
+    """A size point whose streams are all under the size gate is not
+    simulated again: it reuses the base trace's elapsed time."""
+
+    SIZES = (1 * KB, 8 * KB)
+
+    @staticmethod
+    def gated(distance=256, degree=128):
+        # 1 KiB calls fall under the 2 KiB gate; 8 KiB calls do not.
+        return descriptor(distance=distance, degree=degree, gate=2 * KB)
+
+    def bench(self, **kwargs):
+        return MemcpyMicrobenchmark(sizes=self.SIZES,
+                                    bytes_per_point=16 * KB, **kwargs)
+
+    @staticmethod
+    def spy_runs(monkeypatch):
+        runs = []
+        original = MemoryHierarchy.run
+
+        def spy(self, trace, *args, **kwargs):
+            runs.append(len(trace))
+            return original(self, trace, *args, **kwargs)
+
+        monkeypatch.setattr(MemoryHierarchy, "run", spy)
+        return runs
+
+    @staticmethod
+    def explicit_elapsed(bench, desc):
+        """Elapsed per size, every point simulated on a fresh hierarchy."""
+        elapsed = {}
+        for size in bench.sizes:
+            trace = bench._batch_trace(size)
+            if desc is not None:
+                trace = SoftwarePrefetchInjector([desc]).inject(trace)
+            elapsed[size] = bench._hierarchy().run(trace).elapsed_ns
+        return elapsed
+
+    def test_gated_point_is_not_simulated(self, monkeypatch):
+        bench = self.bench()
+        runs = self.spy_runs(monkeypatch)
+        bench.mean_speedup(self.gated())
+        assert len(runs) == 2 + 1
+        bench.mean_speedup(self.gated(distance=512))
+        bench.mean_speedup(self.gated(degree=256))
+        assert len(runs) == 2 + 3
+        # The gated point's injected trace is the base trace.
+        injector = SoftwarePrefetchInjector([self.gated()])
+        base = bench._batch_trace(1 * KB)
+        assert injector.inject(base) == base
+        assert injector.last_stats.prefetches_inserted == 0
+
+    def test_mean_speedup_matches_explicit_simulation(self):
+        bench = self.bench()
+        desc = self.gated()
+        base = self.explicit_elapsed(bench, None)
+        injected = self.explicit_elapsed(bench, desc)
+        speedups = [base[size] / injected[size] - 1.0
+                    for size in bench.sizes]
+        assert bench.mean_speedup(desc) \
+            == left_sum(speedups) / len(speedups)
+        assert bench.speedup(desc)[1 * KB] == 0.0
+
+    def test_memo_not_shared_across_hardware_states(self, monkeypatch):
+        cold = self.bench(hardware_prefetchers=False)
+        cold.run(None)
+        warm = self.bench(hardware_prefetchers=True)
+        warm._trace_cache = cold._trace_cache
+        runs = self.spy_runs(monkeypatch)
+        elapsed = warm.run(self.gated()).elapsed_by_size
+        assert len(runs) == 2
+        assert elapsed[1 * KB] == self.explicit_elapsed(warm, None)[1 * KB]
+        assert elapsed[1 * KB] != cold.run(None).elapsed_by_size[1 * KB]
+
+    def test_state_comparison_matches_explicit_simulation(self):
+        bench = self.bench()
+        bench.run(None)
+        desc = self.gated()
+
+        def total(hw, sw):
+            return left_sum(self.explicit_elapsed(
+                self.bench(hardware_prefetchers=hw), sw).values())
+
+        reference = total(True, None)
+        assert bench.prefetcher_state_comparison(desc) == {
+            "-HW,-SW": reference / total(False, None) - 1.0,
+            "-HW,+SW": reference / total(False, desc) - 1.0,
+            "+HW,+SW": reference / total(True, desc) - 1.0,
+        }
 
 
 class TestLoadTest:
