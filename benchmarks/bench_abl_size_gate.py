@@ -24,7 +24,7 @@ def run_one(descriptor):
         trace = SoftwarePrefetchInjector([descriptor]).inject(trace)
     hierarchy = MemoryHierarchy(
         prefetchers=PrefetcherBank([]),
-        external_load=lambda now: BACKGROUND * 3.0)
+        external_load=BACKGROUND * 3.0)
     return hierarchy.run(trace).elapsed_ns
 
 

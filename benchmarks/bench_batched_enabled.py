@@ -27,7 +27,7 @@ try:
 except ImportError:  # CLI use without PYTHONPATH=src
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.memsys import ConstantExternalLoad, MemoryHierarchy, run_many
+from repro.memsys import MemoryHierarchy, run_many
 from repro.memsys.hierarchy import SLOW_ENGINE_ENV
 from repro.workloads.memo import memoized_fleet_mix
 
@@ -68,8 +68,7 @@ def arm_load(index):
 def build_arm(index):
     # prefetchers=None keeps the hierarchy's default aggressive bank —
     # every arm identical, so the whole fleet forms one lockstep group.
-    return MemoryHierarchy(
-        external_load=ConstantExternalLoad(arm_load(index)))
+    return MemoryHierarchy(external_load=arm_load(index))
 
 
 def fingerprint(result):

@@ -32,7 +32,6 @@ except ImportError:  # CLI use without PYTHONPATH=src
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.memsys import (
-    ConstantExternalLoad,
     MemoryHierarchy,
     PrefetcherBank,
     run_many,
@@ -76,9 +75,8 @@ def arm_load(index):
 
 
 def build_arm(index):
-    return MemoryHierarchy(
-        prefetchers=PrefetcherBank([]),
-        external_load=ConstantExternalLoad(arm_load(index)))
+    return MemoryHierarchy(prefetchers=PrefetcherBank([]),
+                           external_load=arm_load(index))
 
 
 def fingerprint(result):

@@ -35,7 +35,7 @@ def run_app(factory, prefetchers_on):
     if not prefetchers_on:
         background /= 1.0 + FLEET_OVERFETCH
     hierarchy = MemoryHierarchy(
-        prefetchers=bank, external_load=lambda now: background)
+        prefetchers=bank, external_load=background)
     return hierarchy.run(trace).elapsed_ns
 
 

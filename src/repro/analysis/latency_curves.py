@@ -3,11 +3,11 @@
 MLC measures load-to-use latency with a pointer-chasing probe while a
 configurable amount of background traffic loads the memory system. Here
 the probe is a pointer-chase trace through the cycle-level simulator and
-the background load enters through the DRAM model's ``external_load``
-hook. The prefetchers-on arm carries the hardware prefetchers' traffic
-overhead on top of the same useful bandwidth, which is exactly why its
-curve sits above the prefetchers-off curve at high utilization — the 15%
-load-to-use gap of Figure 1.
+the background load enters as the DRAM model's constant
+``external_load`` (bytes/ns). The prefetchers-on arm carries the
+hardware prefetchers' traffic overhead on top of the same useful
+bandwidth, which is exactly why its curve sits above the prefetchers-off
+curve at high utilization — the 15% load-to-use gap of Figure 1.
 """
 
 from __future__ import annotations
@@ -122,7 +122,7 @@ def measure_latency_curve(prefetchers_on: bool,
             else PrefetcherBank([])
         hierarchy = MemoryHierarchy(
             config=config, prefetchers=bank,
-            external_load=lambda now, load=background: load)
+            external_load=background)
         result = hierarchy.run(probe)
         points.append(LatencyPoint(
             utilization=utilization,

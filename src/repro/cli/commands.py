@@ -521,10 +521,11 @@ def run_microbench(args) -> int:
             descriptor = PrefetchDescriptor(
                 "memcpy", distance_bytes=distance, degree_bytes=degree,
                 min_size_bytes=2 * KB)
-            rows.append((distance, degree,
-                         f"{bench.mean_speedup(descriptor):+.1%}"))
+            rows.append((distance, degree, bench.mean_speedup(descriptor)))
     rows.sort(key=lambda row: row[2], reverse=True)
-    _table(("distance", "degree", "mean speedup"), rows)
+    _table(("distance", "degree", "mean speedup"),
+           [(distance, degree, f"{speedup:+.1%}")
+            for distance, degree, speedup in rows])
     return 0
 
 

@@ -5,9 +5,8 @@ epoch by epoch through the scheduler and controller models. This study
 is the complementary *trace-driven* view: every machine-arm replays the
 shared fleetbench-style mixed trace through a full
 :class:`~repro.memsys.hierarchy.MemoryHierarchy`, differing only in its
-background bandwidth pressure (a per-machine
-:class:`~repro.memsys.dram.ConstantExternalLoad` drawn from a stable
-BLAKE2b stream). That shape — hundreds of arms, one trace — is exactly
+background bandwidth pressure (a per-machine constant external DRAM
+load drawn from a stable BLAKE2b stream). That shape — hundreds of arms, one trace — is exactly
 what the batched lockstep engine (:mod:`repro.memsys.batched`)
 accelerates, and the sweep runs every shard through
 :func:`~repro.memsys.hierarchy.run_many` so eligible arms batch
@@ -227,7 +226,6 @@ def run_sweep_shard(spec: MicroSweepShardSpec) -> MicroSweepResult:
     runs with ``export_state=False``.
     """
     from repro.memsys.batched import BatchOccupancy
-    from repro.memsys.dram import ConstantExternalLoad
     from repro.memsys.hierarchy import MemoryHierarchy, run_many
     from repro.memsys.prefetchers.bank import (PrefetcherBank,
                                                default_prefetcher_bank)
@@ -281,9 +279,7 @@ def run_sweep_shard(spec: MicroSweepShardSpec) -> MicroSweepResult:
                 [p for p in default_prefetcher_bank() if p.name in wanted])
         else:
             prefetchers = None
-        arm = MemoryHierarchy(
-            prefetchers=prefetchers,
-            external_load=ConstantExternalLoad(load))
+        arm = MemoryHierarchy(prefetchers=prefetchers, external_load=load)
         live_arms.append(arm)
         live_rows.append(row)
 

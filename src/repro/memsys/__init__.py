@@ -13,7 +13,7 @@ experiment in the paper is expressed in.
 
 from repro.memsys.config import CacheConfig, DRAMConfig, HierarchyConfig
 from repro.memsys.cache import SetAssociativeCache
-from repro.memsys.dram import ConstantExternalLoad, DRAMModel
+from repro.memsys.dram import DRAMModel
 from repro.memsys.stats import FunctionStats, RunResult
 from repro.memsys.hierarchy import MemoryHierarchy, run_many
 from repro.memsys.prefetchers import (
@@ -30,7 +30,6 @@ __all__ = [
     "DRAMConfig",
     "HierarchyConfig",
     "SetAssociativeCache",
-    "ConstantExternalLoad",
     "DRAMModel",
     "FunctionStats",
     "RunResult",

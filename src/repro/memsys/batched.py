@@ -61,21 +61,18 @@ that chunk on the scalar engine.
 
 Batching eligibility has two layers. :func:`lockstep_eligible` is
 per-arm: every *enabled* hardware prefetcher must be lockstep-safe
-(:attr:`~repro.memsys.prefetchers.base.HardwarePrefetcher.lockstep_safe`),
-the external DRAM load absent or a
-:class:`~repro.memsys.dram.ConstantExternalLoad`, and no tracer
-attached. :func:`state_fingerprint` then groups eligible arms by
-starting cache/in-flight/recent-miss state *and* bank state (enabled
-mask + per-prefetcher training fingerprints; cold arms all share one
-fingerprint), because uniformity is an invariant only when it holds at
-entry. Control-mode arms whose daemons toggled MSRs between trace
-slices regroup dynamically: each :func:`~repro.memsys.hierarchy.run_many`
+(:attr:`~repro.memsys.prefetchers.base.HardwarePrefetcher.lockstep_safe`)
+and no tracer attached. :func:`state_fingerprint` then groups eligible
+arms by starting cache/in-flight/recent-miss state *and* bank state
+(enabled mask + per-prefetcher training fingerprints; cold arms all
+share one fingerprint), because uniformity is an invariant only when
+it holds at entry. Control-mode arms whose daemons toggled MSRs between
+trace slices regroup dynamically: each :func:`~repro.memsys.hierarchy.run_many`
 call re-fingerprints, so arms that diverged fall into smaller lockstep
 sub-batches instead of all the way to scalar. Arms that fail either
-test — a custom prefetcher without the lockstep protocol, a callable
-load profile, a divergent warm state — simply run the scalar engine
-inside the same call, and :class:`BatchOccupancy` reports who ran
-where and why.
+test — a custom prefetcher without the lockstep protocol, a divergent
+warm state — simply run the scalar engine inside the same call, and
+:class:`BatchOccupancy` reports who ran where and why.
 """
 
 from __future__ import annotations
@@ -88,7 +85,6 @@ try:
 except ImportError:  # pragma: no cover - the toolchain ships numpy
     _np = None
 
-from repro.memsys.dram import ConstantExternalLoad
 from repro.memsys.stats import FunctionStats, RunResult
 from repro.units import CACHE_LINE_BYTES
 
@@ -189,7 +185,7 @@ def lockstep_fallback_reason(hierarchy) -> Optional[str]:
 
     Checks: NumPy present, no tracer attached, every *enabled* hardware
     prefetcher lockstep-safe (the enabled snapshot is kept fresh through
-    MSR-write watchers), and external DRAM load absent or constant.
+    MSR-write watchers).
     """
     if not HAVE_NUMPY:
         return "no-numpy"
@@ -197,9 +193,6 @@ def lockstep_fallback_reason(hierarchy) -> Optional[str]:
         return "tracer"
     if not hierarchy.prefetchers.lockstep_safe():
         return "unsafe-prefetcher"
-    external = hierarchy.dram._external_load
-    if external is not None and not isinstance(external, ConstantExternalLoad):
-        return "external-load"
     return None
 
 
@@ -429,15 +422,10 @@ class _LockstepBatch:
         self.now = _np.array([h.now_ns for h in hierarchies], float)
         self.begin = self.now.copy()
 
-        # External load: the scalar engine computes
-        # (rate + external(now)) / sat for loaded arms and rate / sat for
-        # unloaded ones; x + 0.0 == x bitwise for the non-negative rates
-        # involved, so a zero entry makes the two formulas coincide.
-        self.ext = _np.zeros(arms)
-        for arm, h in enumerate(hierarchies):
-            external = h.dram._external_load
-            if external is not None:
-                self.ext[arm] = external.bytes_per_ns
+        # External load, one constant per arm: the scalar engine
+        # computes (rate + external_load) / sat for every arm.
+        self.ext = _np.array([h.dram.external_load for h in hierarchies],
+                             float)
 
         # Shared cache state: deep copies of the (uniform) starting
         # state, evolved once for the whole batch with the scalar

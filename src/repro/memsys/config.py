@@ -4,8 +4,8 @@ Defaults approximate one socket's share of a recent x86 server: a 2.5 GHz
 core with 32 KiB L1D, 1 MiB L2, an 8 MiB LLC slice, and roughly 3 GB/s of
 qualified DRAM bandwidth per core (the paper's Section 2.1 quotes ~3 GB/s
 per core for its two platforms). The simulator models one core's trace
-against its bandwidth share; fleet-level contention is modelled by the
-DRAM model's ``external_load`` hook.
+against its bandwidth share; co-located traffic on the socket is the
+DRAM model's constant ``external_load`` (bytes/ns).
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import os
 from collections import OrderedDict, deque
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.access.record import AccessKind
 from repro.access.trace import Trace
@@ -60,13 +60,13 @@ class MemoryHierarchy:
         config: Geometry, latencies, and the DRAM curve.
         prefetchers: The hardware prefetcher complement; defaults to the
             aggressive four-prefetcher bank of the modelled platforms.
-        external_load: Optional ``now_ns -> bytes_per_ns`` callable adding
-            co-tenant bandwidth pressure to the DRAM model.
+        external_load: Constant co-tenant bandwidth, bytes/ns, added to
+            the DRAM model's offered load.
     """
 
     def __init__(self, config: Optional[HierarchyConfig] = None,
                  prefetchers: Optional[PrefetcherBank] = None,
-                 external_load: Optional[Callable[[float], float]] = None) -> None:
+                 external_load: float = 0.0) -> None:
         self.config = config or HierarchyConfig()
         self.prefetchers = prefetchers if prefetchers is not None \
             else default_prefetcher_bank()
@@ -291,7 +291,7 @@ class MemoryHierarchy:
         queue_exp = dram_cfg.queue_exponent
         unloaded_ns = dram_cfg.unloaded_latency_ns
         overload_gain = dram_cfg.overload_gain
-        external_load = dram._external_load
+        external_load = dram.external_load
         window = dram._window
         win_span = window.span_ns
         win_points = window._points
@@ -476,11 +476,8 @@ class MemoryHierarchy:
                                 while win_points \
                                         and win_points[0][0] <= horizon:
                                     win_sum -= win_popleft()[1]
-                                if external_load is not None:
-                                    raw = (win_sum / win_span
-                                           + external_load(now)) / sat_bw
-                                else:
-                                    raw = (win_sum / win_span) / sat_bw
+                                raw = (win_sum / win_span
+                                       + external_load) / sat_bw
                                 u = raw if raw > 0.0 else 0.0
                                 clamped = u if u < max_util else max_util
                                 queue = (queue_gain
@@ -600,11 +597,8 @@ class MemoryHierarchy:
                             while win_points \
                                     and win_points[0][0] <= horizon:
                                 win_sum -= win_popleft()[1]
-                            if external_load is not None:
-                                raw = (win_sum / win_span
-                                       + external_load(now)) / sat_bw
-                            else:
-                                raw = (win_sum / win_span) / sat_bw
+                            raw = (win_sum / win_span
+                                   + external_load) / sat_bw
                             u = raw if raw > 0.0 else 0.0
                             clamped = u if u < max_util else max_util
                             queue = (queue_gain
@@ -831,9 +825,9 @@ def run_many(hierarchies: Sequence[MemoryHierarchy], trace: Trace,
     The fleet's dominant shape — hundreds of machine-arms replaying one
     shared trace — goes through the NumPy lockstep engine
     (:mod:`repro.memsys.batched`): arms that qualify (every *enabled*
-    hardware prefetcher lockstep-safe, constant or absent external load,
-    no tracer) are grouped by config signature *and* state fingerprint,
-    chunked into batches of ``batch_size``, and executed simultaneously.
+    hardware prefetcher lockstep-safe, no tracer) are grouped by config
+    signature *and* state fingerprint, chunked into batches of
+    ``batch_size``, and executed simultaneously.
     When the batch size is defaulted, a deterministic cost model
     (:func:`~repro.memsys.batched.lockstep_pays`) first keeps each
     config group, and then each state group, on the scalar engine when

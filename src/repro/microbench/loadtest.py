@@ -59,7 +59,7 @@ class FleetMixLoadTest:
                       * self.config.dram.saturation_bandwidth)
         hierarchy = MemoryHierarchy(
             config=self.config, prefetchers=PrefetcherBank([]),
-            external_load=lambda now: background)
+            external_load=background)
         return hierarchy.run(trace).elapsed_ns
 
     def speedup(self, descriptor: PrefetchDescriptor) -> float:

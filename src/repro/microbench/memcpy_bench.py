@@ -111,7 +111,7 @@ class MemcpyMicrobenchmark:
                 else PrefetcherBank([]))
         return MemoryHierarchy(
             config=self.config, prefetchers=bank,
-            external_load=lambda now: background)
+            external_load=background)
 
     # --- measurement ------------------------------------------------------------
 

@@ -259,7 +259,6 @@ def run_callgraph_shard(spec: CallGraphShardSpec) -> CallGraphResult:
     """
     from repro.access import AddressSpace, trace_builder
     from repro.memsys.batched import BatchOccupancy
-    from repro.memsys.dram import ConstantExternalLoad
     from repro.memsys.hierarchy import MemoryHierarchy, run_many
     from repro.memsys.prefetchers.bank import PrefetcherBank
 
@@ -300,7 +299,7 @@ def run_callgraph_shard(spec: CallGraphShardSpec) -> CallGraphResult:
             continue
         prefetchers = PrefetcherBank([]) if spec.mode == "off" else None
         arm = MemoryHierarchy(prefetchers=prefetchers,
-                              external_load=ConstantExternalLoad(load))
+                              external_load=load)
         live_arms.append(arm)
         live_rows.append(row)
 

@@ -308,7 +308,6 @@ def run_noisy_shard(spec: NoisyShardSpec) -> NoisyNeighborResult:
     from repro.core import LimoncelloConfig
     from repro.core.controller import HardLimoncelloController
     from repro.memsys.batched import BatchOccupancy
-    from repro.memsys.dram import ConstantExternalLoad
     from repro.memsys.hierarchy import MemoryHierarchy, run_many
 
     tenant_names = [tenant.name for tenant in spec.tenants]
@@ -347,8 +346,7 @@ def run_noisy_shard(spec: NoisyShardSpec) -> NoisyNeighborResult:
         load = scenario_rng(spec.study_seed, "noisy-load",
                             ident).uniform(0.0, _MAX_BACKGROUND_LOAD)
         row["external_load"] = load
-        hierarchy = MemoryHierarchy(
-            external_load=ConstantExternalLoad(load))
+        hierarchy = MemoryHierarchy(external_load=load)
         controller = None
         if spec.mode == "disabled":
             hierarchy.set_hardware_prefetchers(False)

@@ -23,7 +23,6 @@ import pytest
 from repro.access import AccessKind, MemoryAccess, Trace
 from repro.fleet.parallel import DEFAULT_BATCH_SIZE, resolve_batch_size
 from repro.memsys import (
-    ConstantExternalLoad,
     MemoryHierarchy,
     PrefetcherBank,
     run_many,
@@ -56,8 +55,8 @@ RESULT_FIELDS = (
 CACHE_COUNTERS = ("hits", "misses", "prefetch_hits", "wasted_prefetches",
                   "occupancy")
 
-ARM_LOADS = (None, 0.0, 0.25, 0.5, 1.0, 1.75, 0.125,
-             0.25, None, 3.0, 0.5, 0.75, 1.5)
+ARM_LOADS = (0.0, 0.0, 0.25, 0.5, 1.0, 1.75, 0.125,
+             0.25, 0.0, 3.0, 0.5, 0.75, 1.5)
 
 
 def stat_tuple(stats):
@@ -109,14 +108,9 @@ def snapshot(hierarchy, result):
 
 def build_arms(loads=ARM_LOADS):
     """A heterogeneous lockstep-eligible fleet: empty banks, varied
-    external loads (None and ConstantExternalLoad must co-batch)."""
-    return [
-        MemoryHierarchy(
-            prefetchers=PrefetcherBank([]),
-            external_load=None if load is None
-            else ConstantExternalLoad(load))
-        for load in loads
-    ]
+    external loads (unloaded and loaded arms must co-batch)."""
+    return [MemoryHierarchy(prefetchers=PrefetcherBank([]), external_load=load)
+            for load in loads]
 
 
 def make_records():
@@ -242,12 +236,12 @@ class TestDispatch:
         differs from the empty-bank arms' — and results still come back
         bit-identical, in input order."""
         calls = spy_lockstep(monkeypatch)
-        loads = (None, 0.5, 1.0, 0.25)
+        loads = (0.0, 0.5, 1.0, 0.25)
 
         def fleet():
             arms = build_arms(loads)
             hot = MemoryHierarchy(prefetchers=default_prefetcher_bank(),
-                                  external_load=ConstantExternalLoad(0.5))
+                                  external_load=0.5)
             arms.insert(2, hot)
             return arms
 
@@ -273,7 +267,7 @@ class TestDispatch:
                 return [] if was_hit else [line + 64]
 
         calls = spy_lockstep(monkeypatch)
-        loads = (None, 0.5, 1.0)
+        loads = (0.0, 0.5, 1.0)
 
         def fleet():
             arms = build_arms(loads)
@@ -307,11 +301,10 @@ class TestDispatch:
 
         def fleet():
             arms = []
-            for load in (None, 0.5, 1.0, 0.25, 1.5, 0.5):
+            for load in (0.0, 0.5, 1.0, 0.25, 1.5, 0.5):
                 arm = MemoryHierarchy(
                     prefetchers=default_prefetcher_bank(),
-                    external_load=None if load is None
-                    else ConstantExternalLoad(load))
+                    external_load=load)
                 arm.set_hardware_prefetchers(False)  # co-batched for now
                 arms.append(arm)
             return arms, arms[2]
@@ -341,14 +334,14 @@ class TestDispatch:
         from repro.obs import NULL_TRACER, Tracer
 
         calls = spy_lockstep(monkeypatch)
-        arms = build_arms((None, 0.5, 1.0))
+        arms = build_arms((0.0, 0.5, 1.0))
         arms[0].obs = NULL_TRACER  # falsy: the no-observability state
         arms[1].obs = Tracer()
         trace = Trace(make_records()[:400])
         batched_results = run_many(arms, trace, batch_size=lockstep_size())
         assert sum(calls) == 2  # the recording tracer forced one arm scalar
 
-        scalar_arms = build_arms((None, 0.5, 1.0))
+        scalar_arms = build_arms((0.0, 0.5, 1.0))
         scalar_results = run_many(scalar_arms, trace, batch_size=0)
         for arm in range(3):
             assert (snapshot(arms[arm], batched_results[arm])
@@ -357,7 +350,7 @@ class TestDispatch:
     def test_batch_env_zero_disables_lockstep(self, monkeypatch):
         monkeypatch.setenv("REPRO_BATCH", "0")
         calls = spy_lockstep(monkeypatch)
-        run_many(build_arms((None, 0.5)), Trace(make_records()[:100]))
+        run_many(build_arms((0.0, 0.5)), Trace(make_records()[:100]))
         assert calls == []
 
     def test_batch_env_sets_chunking(self, monkeypatch):
@@ -369,7 +362,7 @@ class TestDispatch:
     def test_slow_engine_env_disables_lockstep(self, monkeypatch):
         monkeypatch.setenv(SLOW_ENGINE_ENV, "1")
         calls = spy_lockstep(monkeypatch)
-        run_many(build_arms((None, 0.5)), Trace(make_records()[:100]))
+        run_many(build_arms((0.0, 0.5)), Trace(make_records()[:100]))
         assert calls == []
 
     def test_prune_bound_forces_scalar(self, monkeypatch):
@@ -382,18 +375,17 @@ class TestDispatch:
             address=(6 << 20) + i * 64, size=64,
             kind=AccessKind.SOFTWARE_PREFETCH, pc=1, function="spray")
             for i in range(64)]
-        assert_batched_matches_scalar(records, loads=(None, 0.5, 1.0),
+        assert_batched_matches_scalar(records, loads=(0.0, 0.5, 1.0),
                                       expect_lockstep=False)
         assert calls == []
 
 
-def build_enabled_arms(loads=(None, 0.5, 1.0, 0.25)):
+def build_enabled_arms(loads=(0.0, 0.5, 1.0, 0.25)):
     """A lockstep-eligible fleet with live default banks."""
     return [
         MemoryHierarchy(
             prefetchers=default_prefetcher_bank(),
-            external_load=None if load is None
-            else ConstantExternalLoad(load))
+            external_load=load)
         for load in loads
     ]
 
@@ -457,7 +449,7 @@ class TestEnabledGolden:
         self.assert_enabled_fleet_agrees(exotic_bank, batch_size=2)
 
     def test_hw_prefetches_issued_reported(self):
-        arms = build_enabled_arms((None, 0.5))
+        arms = build_enabled_arms((0.0, 0.5))
         results = run_many(arms, Trace(make_records()),
                            batch_size=lockstep_size())
         assert results[0].hw_prefetches_issued > 0
@@ -474,7 +466,7 @@ class TestEligibilityEdges:
         traces = [Trace(records[:400]), Trace(records[400:])]
 
         def fleet():
-            arms = build_enabled_arms((None, 0.5, 1.0, 0.25))
+            arms = build_enabled_arms((0.0, 0.5, 1.0, 0.25))
             for arm in arms:
                 arm.set_hardware_prefetchers(False)
             return arms
@@ -512,7 +504,7 @@ class TestEligibilityEdges:
         records = make_records()
         traces = [Trace(records[:400]), Trace(records[400:])]
         calls = spy_lockstep(monkeypatch)
-        arms = build_enabled_arms((None, 0.5, 1.0))
+        arms = build_enabled_arms((0.0, 0.5, 1.0))
         run_many(arms, traces[0], batch_size=DEFAULT_BATCH_SIZE)
         assert calls == [3]
         calls.clear()
@@ -523,27 +515,12 @@ class TestEligibilityEdges:
         assert sum(calls) == 2
         assert occupancy.to_dict()["fallback_reasons"] == {"tracer": 1}
 
-        scalar_arms = build_enabled_arms((None, 0.5, 1.0))
+        scalar_arms = build_enabled_arms((0.0, 0.5, 1.0))
         run_many(scalar_arms, traces[0], batch_size=0)
         scalar_b = run_many(scalar_arms, traces[1], batch_size=0)
         for arm in range(3):
             assert (snapshot(arms[arm], batched_b[arm])
                     == snapshot(scalar_arms[arm], scalar_b[arm]))
-
-    def test_callable_external_load_is_scalar(self, monkeypatch):
-        """A non-constant external DRAM load (per-arm utilization feeds
-        per-arm latency) keeps its arm on the scalar engine."""
-        calls = spy_lockstep(monkeypatch)
-        arms = build_enabled_arms((None, 0.5))
-        arms.append(MemoryHierarchy(
-            prefetchers=default_prefetcher_bank(),
-            external_load=lambda now_ns: 0.25))
-        occupancy = batched.BatchOccupancy()
-        run_many(arms, Trace(make_records()[:300]),
-                 batch_size=lockstep_size(), occupancy=occupancy)
-        assert sum(calls) == 2
-        assert occupancy.to_dict()["fallback_reasons"] == {
-            "external-load": 1}
 
     def test_prune_bailout_reruns_scalar(self, monkeypatch):
         """Hardware-issue volume crossing the prune threshold mid-batch
@@ -554,14 +531,14 @@ class TestEligibilityEdges:
         # bound passes and only the dynamic bailout can catch this.
         trace = Trace(make_records()[:400])
         occupancy = batched.BatchOccupancy()
-        arms = build_enabled_arms((None, 0.5, 1.0))
+        arms = build_enabled_arms((0.0, 0.5, 1.0))
         results = run_many(arms, trace, batch_size=lockstep_size(),
                            occupancy=occupancy)
         summary = occupancy.to_dict()
         assert summary["fallback_reasons"] == {"prune-bailout": 3}
         assert summary["batched_arms"] == 0
 
-        scalar_arms = build_enabled_arms((None, 0.5, 1.0))
+        scalar_arms = build_enabled_arms((0.0, 0.5, 1.0))
         scalar_results = run_many(scalar_arms, trace, batch_size=0)
         for arm in range(3):
             assert (snapshot(arms[arm], results[arm])
@@ -571,7 +548,7 @@ class TestEligibilityEdges:
         """Satellite 1: batch export stamps the shared fingerprint;
         MSR flips, scalar runs, and resets all invalidate it."""
         trace = Trace(make_records()[:300])
-        arms = build_enabled_arms((None, 0.5))
+        arms = build_enabled_arms((0.0, 0.5))
         run_many(arms, trace, batch_size=lockstep_size())
         for arm in arms:
             assert arm._state_fp_cache is not None
@@ -628,11 +605,11 @@ class TestExportState:
                        "software_prefetches", "l1_misses", "l2_misses",
                        "llc_misses")
         trace = Trace(make_records()[:300])
-        arms = build_arms((None, 0.5))
+        arms = build_arms((0.0, 0.5))
         run_many(arms, trace, batch_size=lockstep_size(), export_state=False)
         # Cold caches again: same misses.
         rerun = run_many(arms, trace, batch_size=lockstep_size())
-        cold = build_arms((None, 0.5))
+        cold = build_arms((0.0, 0.5))
         cold_results = run_many(cold, trace, batch_size=0)
         for arm in range(2):
             assert (tuple(getattr(rerun[arm].total, f) for f in count_stats)
@@ -686,7 +663,7 @@ class TestWindowPrune:
     def test_whole_line_windows_take_the_counted_prune(self, monkeypatch):
         calls = spy_prunes(monkeypatch)
         assert_batched_matches_scalar(spaced_miss_records(),
-                                      loads=(None, 0.5, 1.0), batch_size=3,
+                                      loads=(0.0, 0.5, 1.0), batch_size=3,
                                       split=300)
         assert calls["counted"] > 0 and calls["sequential"] == 0
 
@@ -698,7 +675,7 @@ class TestWindowPrune:
         and it still matches the scalar engine."""
         calls = spy_prunes(monkeypatch)
         trace = Trace(spaced_miss_records())
-        loads = (None, 0.5, 1.0)
+        loads = (0.0, 0.5, 1.0)
         scalar_arms, batched_arms = build_arms(loads), build_arms(loads)
         for arms in (scalar_arms, batched_arms):
             tweak(arms[1].dram._window)

@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 from repro.access import AccessKind, MemoryAccess, Trace
 from repro.fleet.parallel import resolve_batch_size
 from repro.memsys import (
-    ConstantExternalLoad,
     MemoryHierarchy,
     PrefetcherBank,
     run_many,
@@ -45,7 +44,7 @@ records_strategy = st.lists(record_strategy, max_size=100)
 # co-batch (an absent load is bit-equal to a zero-rate one only in the
 # formula's limit, so the engine carries the distinction per arm).
 loads_strategy = st.lists(
-    st.one_of(st.none(),
+    st.one_of(st.just(0.0),
               st.floats(min_value=0.0, max_value=4.0,
                         allow_nan=False, allow_infinity=False)),
     min_size=1, max_size=7)
@@ -69,8 +68,7 @@ def build_arms(loads, banks=None):
     return [
         MemoryHierarchy(
             prefetchers=_build_bank(banks[index] if banks else "empty"),
-            external_load=None if load is None
-            else ConstantExternalLoad(load))
+            external_load=load)
         for index, load in enumerate(loads)
     ]
 
@@ -125,7 +123,7 @@ class TestPropertyEquivalence:
 #: enabled arms and the engine must group them correctly.
 enabled_arms_strategy = st.lists(
     st.tuples(
-        st.one_of(st.none(),
+        st.one_of(st.just(0.0),
                   st.floats(min_value=0.0, max_value=4.0,
                             allow_nan=False, allow_infinity=False)),
         st.sampled_from(BANK_SHAPES)),

@@ -79,10 +79,19 @@ class TestCommands:
         assert "best configuration" in out
 
     def test_microbench_runs(self, capsys):
-        assert main(["microbench", "--distances", "256",
-                     "--degrees", "256"]) == 0
+        """Rows come out fastest first by value: +107% above +67%, which
+        a sort on the formatted text would invert."""
+        assert main(["microbench", "--distances", "128,512",
+                     "--degrees", "512"]) == 0
         out = capsys.readouterr().out
         assert "mean speedup" in out
+        lines = out.splitlines()
+        start = next(i for i, line in enumerate(lines)
+                     if line.lstrip().startswith("---")) + 1
+        speedups = [float(line.split()[-1].rstrip("%"))
+                    for line in lines[start:] if line.strip()]
+        assert len(speedups) == 2
+        assert speedups == sorted(speedups, reverse=True)
 
     def test_rollout_runs(self, capsys):
         assert main(["rollout", "--machines", "6", "--epochs", "12",

@@ -34,6 +34,11 @@ RESULT_FIELDS = (
 CACHE_COUNTERS = ("hits", "misses", "prefetch_hits", "wasted_prefetches",
                   "occupancy")
 
+#: External DRAM loads, bytes/ns, against the default 3.0 bytes/ns
+#: saturation: unloaded, half loaded, and past ``max_utilization`` (0.9)
+#: so every fill takes the overload branch.
+LOADS = (0.0, 1.5, 3.3)
+
 
 def stat_tuple(stats):
     return tuple(getattr(stats, field) for field in STAT_FIELDS)
@@ -62,9 +67,11 @@ def snapshot(hierarchy, result):
     }
 
 
-def run_one(traces, slow, bank_factory, prefetchers_enabled=True):
+def run_one(traces, slow, bank_factory, prefetchers_enabled=True,
+            external_load=0.0):
     """Run ``traces`` in sequence on one hierarchy with a chosen engine."""
-    hierarchy = MemoryHierarchy(prefetchers=bank_factory())
+    hierarchy = MemoryHierarchy(prefetchers=bank_factory(),
+                                external_load=external_load)
     hierarchy.set_hardware_prefetchers(prefetchers_enabled)
     saved = os.environ.get(SLOW_ENGINE_ENV)
     try:
@@ -82,18 +89,21 @@ def run_one(traces, slow, bank_factory, prefetchers_enabled=True):
 
 
 def assert_engines_agree(records, bank_factory=default_prefetcher_bank,
-                         prefetchers_enabled=True, split=None):
+                         prefetchers_enabled=True, split=None,
+                         external_load=0.0):
     """Both engines over the same records must agree on everything.
 
     ``split`` optionally cuts the records into two back-to-back runs to
-    exercise warm-state continuation.
+    exercise warm-state continuation; ``external_load`` loads the DRAM.
     """
     if split is None:
         traces = [Trace(records)]
     else:
         traces = [Trace(records[:split]), Trace(records[split:])]
-    slow_h, slow_r = run_one(traces, True, bank_factory, prefetchers_enabled)
-    fast_h, fast_r = run_one(traces, False, bank_factory, prefetchers_enabled)
+    slow_h, slow_r = run_one(traces, True, bank_factory, prefetchers_enabled,
+                             external_load)
+    fast_h, fast_r = run_one(traces, False, bank_factory, prefetchers_enabled,
+                             external_load)
     for got_slow, got_fast in zip(slow_r, fast_r):
         assert snapshot(slow_h, got_slow) == snapshot(fast_h, got_fast)
 
@@ -141,18 +151,25 @@ def make_records():
 
 class TestDeterministicEquivalence:
     def test_mixed_kinds_prefetchers_on(self):
-        assert_engines_agree(make_records())
+        for load in LOADS:
+            assert_engines_agree(make_records(), external_load=load)
 
     def test_mixed_kinds_prefetchers_off(self):
-        assert_engines_agree(make_records(), prefetchers_enabled=False)
+        for load in LOADS:
+            assert_engines_agree(make_records(), prefetchers_enabled=False,
+                                 external_load=load)
 
     def test_empty_bank(self):
-        assert_engines_agree(make_records(),
-                             bank_factory=lambda: PrefetcherBank([]))
+        for load in LOADS:
+            assert_engines_agree(make_records(),
+                                 bank_factory=lambda: PrefetcherBank([]),
+                                 external_load=load)
 
     def test_warm_state_continuation(self):
         """Back-to-back runs on one hierarchy agree across engines."""
-        assert_engines_agree(make_records(), split=700)
+        for load in LOADS:
+            assert_engines_agree(make_records(), split=700,
+                                 external_load=load)
 
     def test_empty_trace(self):
         assert_engines_agree([])
@@ -244,20 +261,27 @@ record_strategy = st.builds(
 
 records_strategy = st.lists(record_strategy, max_size=120)
 
+loads_strategy = st.one_of(st.sampled_from(LOADS),
+                           st.floats(min_value=0.0, max_value=4.0,
+                                     allow_nan=False, allow_infinity=False))
+
 
 class TestPropertyEquivalence:
-    @given(records=records_strategy)
+    @given(records=records_strategy, load=loads_strategy)
     @settings(max_examples=scaled(60), deadline=None)
-    def test_random_traces_prefetchers_on(self, records):
-        assert_engines_agree(records)
+    def test_random_traces_prefetchers_on(self, records, load):
+        assert_engines_agree(records, external_load=load)
 
-    @given(records=records_strategy)
+    @given(records=records_strategy, load=loads_strategy)
     @settings(max_examples=scaled(60), deadline=None)
-    def test_random_traces_prefetchers_off(self, records):
-        assert_engines_agree(records, prefetchers_enabled=False)
+    def test_random_traces_prefetchers_off(self, records, load):
+        assert_engines_agree(records, prefetchers_enabled=False,
+                             external_load=load)
 
     @given(records=records_strategy,
-           split=st.integers(min_value=0, max_value=120))
+           split=st.integers(min_value=0, max_value=120),
+           load=loads_strategy)
     @settings(max_examples=scaled(30), deadline=None)
-    def test_random_traces_split_runs(self, records, split):
-        assert_engines_agree(records, split=min(split, len(records)))
+    def test_random_traces_split_runs(self, records, split, load):
+        assert_engines_agree(records, split=min(split, len(records)),
+                             external_load=load)

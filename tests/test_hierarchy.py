@@ -211,7 +211,7 @@ class TestBandwidthFeedback:
     def test_external_load_slows_execution(self):
         trace = sequential_trace(512)
         quiet = no_prefetch_hierarchy().run(trace)
-        loaded_h = no_prefetch_hierarchy(external_load=lambda now: 2.9)
+        loaded_h = no_prefetch_hierarchy(external_load=2.9)
         loaded = loaded_h.run(trace)
         assert loaded.elapsed_ns > quiet.elapsed_ns
         assert (loaded.total.average_load_to_use_ns

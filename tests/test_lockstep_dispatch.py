@@ -19,7 +19,6 @@ from hypothesis import given, settings, strategies as st
 from repro.access import MemoryAccess, Trace
 from repro.fleet.parallel import BATCH_ENV_VAR
 from repro.memsys import (
-    ConstantExternalLoad,
     MemoryHierarchy,
     PrefetcherBank,
     run_many,
@@ -52,8 +51,7 @@ def build_fleet(specs):
     for shape, load, warm in specs:
         arm = MemoryHierarchy(
             prefetchers=PrefetcherBank([]) if shape == "empty" else None,
-            external_load=None if load is None
-            else ConstantExternalLoad(load))
+            external_load=load)
         if shape == "off":
             arm.set_hardware_prefetchers(False)
         if warm:
@@ -106,7 +104,7 @@ def _expand(groups):
     for shape, warm, count in groups:
         for _ in range(count):
             index = len(specs)
-            load = None if index % 5 == 0 else (index % 5) * 0.25
+            load = (index % 5) * 0.25
             specs.append((shape, load, warm))
     return specs[:40]
 

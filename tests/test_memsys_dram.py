@@ -79,9 +79,15 @@ class TestBandwidthAccounting:
     def test_external_load_raises_utilization(self):
         config = DRAMConfig(saturation_bandwidth=3.0)
         quiet = DRAMModel(config)
-        busy = DRAMModel(config, external_load=lambda now: 2.7)
+        busy = DRAMModel(config, external_load=2.7)
         assert busy.utilization(0.0) == pytest.approx(0.9)
         assert busy.request(0.0) - 0.0 > quiet.request(0.0) - 0.0
+
+    def test_callable_external_load_rejected_at_construction(self):
+        """The load is a constant; a time-varying callable fails up
+        front rather than on the first fill."""
+        with pytest.raises(TypeError):
+            DRAMModel(DRAMConfig(), external_load=lambda t: 2.7)
 
     def test_reset_window(self):
         dram = DRAMModel(DRAMConfig())
